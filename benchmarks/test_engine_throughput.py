@@ -85,8 +85,8 @@ def test_perf_plan_compile(benchmark, catalog):
 
 
 # ---------------------------------------------------------------------------
-# Event-loop throughput: the virtual-time engine vs the reference loop.
-# Profiles are pre-generated so the timings isolate the engine itself
+# Event-loop throughput of the virtual-time engine.  Profiles are
+# pre-generated so the timings isolate the engine itself
 # (no plan compilation or parameter jitter inside the timed region).
 
 from dataclasses import dataclass
@@ -122,8 +122,8 @@ def engine_workloads(catalog):
     return workloads
 
 
-def _run_engine_workload(engine, per_stream, metrics=None):
-    config = SystemConfig(simulation=SimulationConfig(engine=engine))
+def _run_engine_workload(per_stream, metrics=None):
+    config = SystemConfig(simulation=SimulationConfig(engine="virtual_time"))
     executor = ConcurrentExecutor(
         config, rng=np.random.default_rng(1), metrics=metrics
     )
@@ -136,7 +136,7 @@ def _run_engine_workload(engine, per_stream, metrics=None):
 
 def test_perf_engine_events_mpl4(benchmark, engine_workloads):
     """Virtual-time engine event throughput at MPL 4."""
-    result = benchmark(_run_engine_workload, "virtual_time", engine_workloads[4])
+    result = benchmark(_run_engine_workload, engine_workloads[4])
     assert result.completions
     benchmark.extra_info["events"] = result.events
     benchmark.extra_info["events_per_sec"] = (
@@ -146,17 +146,7 @@ def test_perf_engine_events_mpl4(benchmark, engine_workloads):
 
 def test_perf_engine_events_mpl8(benchmark, engine_workloads):
     """Virtual-time engine event throughput at MPL 8."""
-    result = benchmark(_run_engine_workload, "virtual_time", engine_workloads[8])
-    assert result.completions
-    benchmark.extra_info["events"] = result.events
-    benchmark.extra_info["events_per_sec"] = (
-        result.events / benchmark.stats.stats.min
-    )
-
-
-def test_perf_engine_reference_mpl8(benchmark, engine_workloads):
-    """Reference-engine throughput at MPL 8 (the pre-rewrite loop)."""
-    result = benchmark(_run_engine_workload, "reference", engine_workloads[8])
+    result = benchmark(_run_engine_workload, engine_workloads[8])
     assert result.completions
     benchmark.extra_info["events"] = result.events
     benchmark.extra_info["events_per_sec"] = (
@@ -174,9 +164,7 @@ def test_perf_engine_events_mpl8_instrumented(benchmark, engine_workloads):
     from repro.obs.metrics import Registry
 
     def run():
-        return _run_engine_workload(
-            "virtual_time", engine_workloads[8], metrics=Registry()
-        )
+        return _run_engine_workload(engine_workloads[8], metrics=Registry())
 
     result = benchmark(run)
     assert result.completions
@@ -184,27 +172,3 @@ def test_perf_engine_events_mpl8_instrumented(benchmark, engine_workloads):
     benchmark.extra_info["events_per_sec"] = (
         result.events / benchmark.stats.stats.min
     )
-
-
-def test_engine_speedup_at_mpl8(engine_workloads):
-    """The tentpole acceptance bar: >= 3x events/sec at MPL >= 4."""
-    import time
-
-    def best_events_per_sec(engine):
-        best = float("inf")
-        events = 0
-        for _ in range(5):
-            start = time.perf_counter()
-            result = _run_engine_workload(engine, engine_workloads[8])
-            best = min(best, time.perf_counter() - start)
-            events = result.events
-        return events / best
-
-    reference = best_events_per_sec("reference")
-    virtual_time = best_events_per_sec("virtual_time")
-    speedup = virtual_time / reference
-    print(
-        f"\nengine events/sec at MPL 8: reference={reference:.0f} "
-        f"virtual_time={virtual_time:.0f} speedup={speedup:.2f}x"
-    )
-    assert speedup >= 3.0

@@ -66,10 +66,11 @@ def _engine_workload(catalog: TemplateCatalog, mpl: int):
     return [[catalog.profile(t, rng) for _ in range(20)] for t in mix]
 
 
-def _events_per_sec(engine: str, per_stream, repeats: int = 15) -> float:
+def _events_per_sec(per_stream, repeats: int = 15) -> float:
+    """Virtual-time engine events/sec on pre-generated profiles."""
     # Individual runs are a few milliseconds, so scheduler noise swamps
     # any single timing; take the best of many (first run is warmup).
-    config = SystemConfig(simulation=SimulationConfig(engine=engine))
+    config = SystemConfig(simulation=SimulationConfig(engine="virtual_time"))
     best = float("inf")
     events = 0
     for i in range(repeats + 1):
@@ -343,17 +344,12 @@ def measure() -> Dict[str, Dict[str, object]]:
     serving = _serving_throughput_metrics()
     metrics = {
         "engine_virtual_time_events_per_sec_mpl4": {
-            "value": _events_per_sec("virtual_time", mpl4),
+            "value": _events_per_sec(mpl4),
             "unit": "events/sec",
             "higher_is_better": True,
         },
         "engine_virtual_time_events_per_sec_mpl8": {
-            "value": _events_per_sec("virtual_time", mpl8),
-            "unit": "events/sec",
-            "higher_is_better": True,
-        },
-        "engine_reference_events_per_sec_mpl8": {
-            "value": _events_per_sec("reference", mpl8),
+            "value": _events_per_sec(mpl8),
             "unit": "events/sec",
             "higher_is_better": True,
         },
@@ -391,10 +387,8 @@ def measure() -> Dict[str, Dict[str, object]]:
             "higher_is_better": False,
         },
         # An absolute gate, not a baseline-relative one: attaching a
-        # metrics registry to the virtual-time engine (the default
-        # instrumentation tier — the opt-in engine_phase_timings debug
-        # tier is exempt) may cost at most 5% of event throughput, on
-        # any machine.
+        # metrics registry to the virtual-time engine may cost at most
+        # 5% of event throughput, on any machine.
         "engine_instrumentation_overhead": {
             "value": _instrumentation_overhead(mpl8),
             "unit": "fraction",
@@ -727,12 +721,6 @@ def _serving_throughput_metrics(
     }
 
 
-def _speedup(metrics) -> float:
-    vt = metrics["engine_virtual_time_events_per_sec_mpl8"]["value"]
-    ref = metrics["engine_reference_events_per_sec_mpl8"]["value"]
-    return vt / ref
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -750,7 +738,6 @@ def main() -> int:
 
     print("measuring hot-path benchmarks (best-of-N)...")
     metrics = measure()
-    print(f"virtual-time / reference speedup at MPL 8: {_speedup(metrics):.2f}x")
 
     if args.update:
         BASELINE_PATH.write_text(

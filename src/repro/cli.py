@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=("virtual_time", "batched", "reference"),
+        choices=("virtual_time", "batched"),
         default=None,
         help="simulation engine; 'batched' groups runs into lockstep "
         "batches with bit-identical results, faster campaigns",
@@ -427,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         ep.add_argument(
             "--engine",
-            choices=("virtual_time", "batched", "reference"),
+            choices=("virtual_time", "batched"),
             default=None,
             help="simulation engine for ground truth (and the "
             "in-process campaign)",
@@ -567,18 +567,20 @@ def _cmd_spoiler(args: argparse.Namespace) -> int:
     return 0
 
 
+def _engine_catalog(engine: Optional[str]) -> TemplateCatalog:
+    """The full template catalog, simulated by *engine* (None: default)."""
+    if not engine:
+        return TemplateCatalog()
+    from .config import SimulationConfig, SystemConfig
+
+    return TemplateCatalog(
+        config=SystemConfig(simulation=SimulationConfig(engine=engine))
+    )
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     mpls = tuple(int(m) for m in args.mpls.split(","))
-    if args.engine:
-        from .config import SimulationConfig, SystemConfig
-
-        catalog = TemplateCatalog(
-            config=SystemConfig(
-                simulation=SimulationConfig(engine=args.engine)
-            )
-        )
-    else:
-        catalog = TemplateCatalog()
+    catalog = _engine_catalog(args.engine)
     print(f"collecting campaign for MPLs {mpls} (LHS runs: {args.lhs_runs})...")
     data = collect_training_data(
         catalog,
@@ -1053,39 +1055,46 @@ def _cmd_lifecycle_rollback(args: argparse.Namespace) -> int:
 _SCHED_TEMPLATES = (22, 26, 32, 62, 65, 71, 82)
 
 
-def _sched_setup(args: argparse.Namespace):
-    """Catalog, backend, and template ids for a sched subcommand."""
-    from .apps.admission import ContenderBackend
+def _campaign_setup(
+    args: argparse.Namespace, max_mpl: int, engine: Optional[str] = None
+):
+    """Catalog, training data, and template ids for a sched/eval command.
+
+    Loads the ``--data`` campaign pickle, or collects a small campaign
+    over MPLs 2..*max_mpl* in-process.  *engine* selects the simulation
+    engine of the catalog (and so of the in-process campaign).
+    """
     from .sampling.steady_state import SteadyStateConfig
 
-    if args.data is not None:
-        data = TrainingData.load(args.data)
-        template_ids = (
-            tuple(int(t) for t in args.templates.split(","))
-            if args.templates
-            else tuple(sorted(data.template_ids))
-        )
-        catalog = TemplateCatalog().subset(template_ids)
+    data = TrainingData.load(args.data) if args.data is not None else None
+    if args.templates:
+        template_ids = tuple(int(t) for t in args.templates.split(","))
+    elif data is not None:
+        template_ids = tuple(sorted(data.template_ids))
     else:
-        template_ids = (
-            tuple(int(t) for t in args.templates.split(","))
-            if args.templates
-            else _SCHED_TEMPLATES
-        )
-        catalog = TemplateCatalog().subset(template_ids)
+        template_ids = _SCHED_TEMPLATES
+    catalog = _engine_catalog(engine).subset(template_ids)
+    if data is None:
         print(
             f"collecting in-process campaign over {len(template_ids)} "
-            f"templates, MPLs 2-{args.max_mpl}...",
+            f"templates, MPLs 2-{max_mpl}...",
             file=sys.stderr,
         )
         data = collect_training_data(
             catalog,
-            mpls=tuple(range(2, args.max_mpl + 1)),
+            mpls=tuple(range(2, max_mpl + 1)),
             lhs_runs_per_mpl=2,
             steady_config=SteadyStateConfig(samples_per_stream=3),
         )
-    backend = ContenderBackend(Contender(data))
-    return catalog, backend, template_ids
+    return catalog, data, template_ids
+
+
+def _sched_setup(args: argparse.Namespace):
+    """Catalog, backend, and template ids for a sched subcommand."""
+    from .apps.admission import ContenderBackend
+
+    catalog, data, template_ids = _campaign_setup(args, args.max_mpl)
+    return catalog, ContenderBackend(Contender(data)), template_ids
 
 
 def _sched_policies(args: argparse.Namespace, names, backend):
@@ -1194,58 +1203,12 @@ def _eval_matrix_mpls(args: argparse.Namespace):
     return mpls
 
 
-def _eval_setup(args: argparse.Namespace):
-    """Catalog and training data for an eval subcommand."""
-    from .sampling.steady_state import SteadyStateConfig
-
-    mpls = _eval_matrix_mpls(args)
-    if args.engine:
-        from .config import SimulationConfig, SystemConfig
-
-        config = SystemConfig(simulation=SimulationConfig(engine=args.engine))
-    else:
-        config = None
-
-    def _catalog(ids):
-        base = (
-            TemplateCatalog(config=config) if config else TemplateCatalog()
-        )
-        return base.subset(ids)
-
-    if args.data is not None:
-        data = TrainingData.load(args.data)
-        template_ids = (
-            tuple(int(t) for t in args.templates.split(","))
-            if args.templates
-            else tuple(sorted(data.template_ids))
-        )
-        catalog = _catalog(template_ids)
-    else:
-        template_ids = (
-            tuple(int(t) for t in args.templates.split(","))
-            if args.templates
-            else _SCHED_TEMPLATES
-        )
-        catalog = _catalog(template_ids)
-        print(
-            f"collecting in-process campaign over {len(template_ids)} "
-            f"templates, MPLs 2-{max(mpls)}...",
-            file=sys.stderr,
-        )
-        data = collect_training_data(
-            catalog,
-            mpls=tuple(range(2, max(mpls) + 1)),
-            lhs_runs_per_mpl=2,
-            steady_config=SteadyStateConfig(samples_per_stream=3),
-        )
-    return catalog, data, mpls
-
-
 def _eval_run_matrix(args: argparse.Namespace, backend_names):
     from .eval import default_matrix, named_backends, run_matrix
     from .sampling.steady_state import SteadyStateConfig
 
-    catalog, data, mpls = _eval_setup(args)
+    mpls = _eval_matrix_mpls(args)
+    catalog, data, _ = _campaign_setup(args, max(mpls), engine=args.engine)
     backends = named_backends(data, backend_names)
     matrix = default_matrix(mpls=mpls, window=args.window, sets=args.sets)
     return run_matrix(

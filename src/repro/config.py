@@ -78,8 +78,6 @@ class SimulationConfig:
         dimension_cache: Whether dimension tables stay buffer-resident after
             first touch within an experiment (hot dimensions are why fact
             scans dominate analytical I/O).
-        cache_eviction: Buffer-cache policy for dimension tables:
-            ``'none'`` (first-resident wins) or ``'lru'``.
         cpu_io_overlap: Fraction of a phase's CPU work that overlaps its own
             I/O (asynchronous prefetch).  0 = strictly serial, 1 = perfect
             overlap; the effective phase demand interpolates between the two.
@@ -92,18 +90,13 @@ class SimulationConfig:
         engine: Event-loop implementation.  ``'virtual_time'`` (default)
             schedules via cumulative-service accounting — per-resource
             drain deadlines computed once per phase and advanced through
-            sorted deadline heaps, O(log n) per event.  ``'reference'``
-            is the original processor-sharing loop that rescans the
-            active set on every event; it is kept as the executable
-            specification the fast engine is differentially tested
-            against.  The two agree to floating-point reassociation
-            tolerance (see docs/PERFORMANCE.md), not bit-for-bit.
-            ``'batched'`` selects the lockstep numpy engine
+            sorted deadline heaps, O(log n) per event.  ``'batched'``
+            selects the lockstep numpy engine
             (:mod:`repro.engine.batched`): single runs execute as a
-            batch of one, and campaigns group compatible tasks into
-            wide batches.  It mirrors the virtual-time arithmetic
-            bit-for-bit; features it cannot vectorize (tracers, LRU
-            eviction, phase timings) fall back to the scalar loop.
+            batch of one, and campaigns group tasks into wide batches.
+            It mirrors the virtual-time arithmetic bit-for-bit; runs
+            with a tracer or a blame recorder attached fall back to the
+            scalar loop.
     """
 
     shared_scans: bool = True
@@ -112,7 +105,6 @@ class SimulationConfig:
     spill_thrash: float = 1.0
     restart_cost: float = 2.5
     dimension_cache: bool = True
-    cache_eviction: str = "none"
     cpu_io_overlap: float = 0.7
     time_epsilon: float = 1e-9
     max_events: int = 2_000_000
@@ -128,18 +120,16 @@ class SimulationConfig:
             raise ConfigurationError("spill_thrash must be >= 0")
         if self.restart_cost < 0:
             raise ConfigurationError("restart_cost must be >= 0")
-        if self.cache_eviction not in ("none", "lru"):
-            raise ConfigurationError("cache_eviction must be 'none' or 'lru'")
         if not 0.0 <= self.cpu_io_overlap <= 1.0:
             raise ConfigurationError("cpu_io_overlap must be in [0, 1]")
         if self.time_epsilon <= 0:
             raise ConfigurationError("time_epsilon must be positive")
         if self.max_events < 1:
             raise ConfigurationError("max_events must be >= 1")
-        if self.engine not in ("reference", "virtual_time", "batched"):
+        if self.engine not in ("virtual_time", "batched"):
             raise ConfigurationError(
-                "engine must be 'reference', 'virtual_time', or "
-                f"'batched', got {self.engine!r}"
+                "engine must be 'virtual_time' or 'batched', "
+                f"got {self.engine!r}"
             )
 
 
@@ -197,17 +187,15 @@ class ObservabilityConfig:
         trace: Likewise for deterministic campaign spans: the harness
             creates a :class:`~repro.obs.tracing.TraceRecorder` seeded
             from the simulation seed when set.
-        engine_phase_timings: Also record the per-phase drain-latency
-            histogram (``engine_phase_drain_seconds``).  This is the
-            debug tier: it stamps and records every phase transition,
-            which costs more than the gated <= 5% budget of the default
-            counters, so it is off unless a diagnosis needs it.
+
+    Per-phase timing has no knob: attach a
+    :class:`~repro.engine.trace.Tracer` to the executor, whose interval
+    samples carry every running query's phase label.
     """
 
     engine_metrics: bool = False
     campaign_metrics: bool = False
     trace: bool = False
-    engine_phase_timings: bool = False
 
 
 @dataclass(frozen=True)

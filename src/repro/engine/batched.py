@@ -26,9 +26,8 @@ active-set order — exactly the order the scalar engine's
 engine's and campaign results stay bit-identical across batch sizes.
 
 Unsupported features fall back to the scalar loop at the executor
-level: tracers (per-interval telemetry is inherently scalar), LRU cache
-eviction (recency order is a per-run dict), and per-phase drain
-timings.
+level: tracers (per-interval telemetry is inherently scalar) and blame
+recorders (per-phase entry/exit records).
 """
 
 from __future__ import annotations
@@ -62,17 +61,12 @@ __all__ = ["RunSpec", "batched_campaign_ok", "run_batch"]
 def batched_campaign_ok(config: SystemConfig) -> bool:
     """Whether campaign tasks may be grouped into lockstep batches.
 
-    Mirrors the executor-level fallback conditions that do not depend on
-    per-run arguments: the batched engine must be selected, the buffer
-    cache must use the array-friendly ``'none'`` eviction policy, and
-    per-phase drain timings (inherently scalar) must be off.  Campaign
-    tasks never attach tracers, so that executor condition is moot here.
+    The executor-level fallbacks (tracers, blame recorders) depend on
+    per-run arguments campaign tasks never pass, so selecting the
+    batched engine is the only condition.
     """
-    return (
-        config.simulation.engine == "batched"
-        and config.simulation.cache_eviction == "none"
-        and not config.observability.engine_phase_timings
-    )
+    return config.simulation.engine == "batched"
+
 
 # ---------------------------------------------------------------------
 # Phase matrices: each ResourceProfile compiles once to a (phases, 7)
@@ -210,10 +204,6 @@ class _BatchRunner:
     def __init__(self, config: SystemConfig, specs: Sequence[RunSpec]):
         hw = config.hardware
         sim = config.simulation
-        if sim.cache_eviction != "none":
-            raise SimulationError(
-                "batched engine supports cache_eviction='none' only"
-            )
         for spec in specs:
             if not spec.streams and not spec.background:
                 raise SimulationError("nothing to run")

@@ -15,39 +15,32 @@ from typing import Dict, Set
 
 from ..errors import SimulationError
 
-#: Supported eviction policies.
-EVICTION_POLICIES = ("none", "lru")
-
 
 @dataclass
 class BufferCache:
     """Tracks which dimension relations are buffer-resident.
+
+    First resident wins: hot dimensions never churn in analytical
+    workloads, so a relation that does not fit the remaining budget is
+    simply not cached.
 
     Attributes:
         capacity_bytes: Total cache budget for dimension tables (a slice
             of shared_buffers + OS cache).
         cold: When True the cache starts empty (the paper's cold-cache
             isolated runs); steady-state experiments warm it up naturally.
-        eviction: ``'none'`` (first-resident wins; the default — hot
-            dimensions never churn in analytical workloads) or ``'lru'``
-            (least-recently-touched relations make room for admissions).
     """
 
     capacity_bytes: float
     cold: bool = True
-    eviction: str = "none"
     _resident: Dict[str, float] = field(default_factory=dict)
-    # Incremental total; the batched engine mirrors the same +=/-=
-    # sequence on per-run arrays, keeping both engines bit-identical.
+    # Incremental total; the batched engine mirrors the same += sequence
+    # on per-run arrays, keeping both engines bit-identical.
     _used: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity_bytes < 0:
             raise SimulationError("capacity_bytes must be non-negative")
-        if self.eviction not in EVICTION_POLICIES:
-            raise SimulationError(
-                f"eviction must be one of {EVICTION_POLICIES}"
-            )
         self._used = sum(self._resident.values())
 
     @property
@@ -56,33 +49,16 @@ class BufferCache:
         return self._used
 
     def is_resident(self, relation: str) -> bool:
-        """True when *relation* is fully cached (an LRU touch)."""
-        if relation in self._resident:
-            if self.eviction == "lru":
-                # Re-insert to mark recency (dicts preserve order).
-                self._resident[relation] = self._resident.pop(relation)
-            return True
-        return False
+        """True when *relation* is fully cached."""
+        return relation in self._resident
 
     def admit(self, relation: str, size_bytes: float) -> bool:
-        """Try to cache *relation* after a full scan; returns success.
-
-        Under the default ``'none'`` policy, relations that do not fit
-        in the remaining budget are simply not cached.  Under ``'lru'``,
-        least-recently-touched residents are evicted to make room (the
-        admission still fails if the relation exceeds the whole budget).
-        """
+        """Try to cache *relation* after a full scan; returns success."""
         if size_bytes < 0:
             raise SimulationError("size_bytes must be non-negative")
         if relation in self._resident:
             return True
-        if size_bytes > self.capacity_bytes:
-            return False
-        if self.eviction == "lru":
-            while self.used_bytes + size_bytes > self.capacity_bytes:
-                oldest = next(iter(self._resident))
-                self._used -= self._resident.pop(oldest)
-        elif self.used_bytes + size_bytes > self.capacity_bytes:
+        if self.used_bytes + size_bytes > self.capacity_bytes:
             return False
         self._resident[relation] = size_bytes
         self._used += size_bytes

@@ -18,27 +18,21 @@ sharing:
 
 The loop is classic processor-sharing simulation: rates only change when
 the active set changes, so we jump from completion event to completion
-event instead of ticking a clock.  Two implementations of that loop are
-provided, selected by ``SimulationConfig.engine``:
+event instead of ticking a clock.  It uses cumulative-service
+scheduling: each resource class (sequential bytes, random ops, CPU)
+carries a cumulative service integral that advances by ``rate * dt`` per
+interval.  A component's remaining work becomes a *static drain
+deadline* in that cumulative space, computed once at phase entry;
+next-event selection is a min over three deadline heaps and an event
+touches only the components that actually drained, so per-event cost is
+O(log n) in the active set.
 
-``virtual_time`` (default)
-    Cumulative-service scheduling.  Each resource class (sequential
-    bytes, random ops, CPU) carries a cumulative service integral that
-    advances by ``rate * dt`` per interval.  A component's remaining
-    work becomes a *static drain deadline* in that cumulative space,
-    computed once at phase entry; next-event selection is a min over
-    three deadline heaps and an event touches only the components that
-    actually drained.  Per-event cost is O(log n) instead of the
-    reference engine's three full active-set rescans.
-
-``reference``
-    The original loop: recompute rates, scan for the nearest completion,
-    and drain every active component on every event.  Kept as the
-    executable specification; the differential tests in
-    ``tests/property/test_engine_differential.py`` hold the fast engine
-    to it.  The engines agree to floating-point reassociation tolerance
-    (cumulative sums re-associate the same arithmetic), not bit-for-bit;
-    see docs/PERFORMANCE.md.
+``SimulationConfig.engine`` picks this scalar loop (``'virtual_time'``,
+the default) or the lockstep numpy mirror in :mod:`repro.engine.batched`
+(``'batched'``).  The test suite keeps the original full-rescan loop as
+an executable specification (``tests/reference_engine.py``); the
+differential tests hold both shipped engines to it within
+floating-point reassociation tolerance — see docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -142,11 +136,11 @@ class _Running:
     ``phase`` and ``seq_key`` are caches maintained by the executor:
     the current :class:`Phase` is materialized once per phase entry (the
     event loop reads it many times per event), and the disk stream key
-    is computed once per event in ``_rates`` and reused in ``_advance``.
+    is computed once when the phase's sequential component starts.
 
-    The ``vt_*`` fields belong to the virtual-time engine.  ``rem_*``
-    double as the phase's *initial* demands there (the engine never
-    decrements them; remaining work is ``deadline - integral``):
+    ``rem_*`` hold the phase's *initial* demands (the virtual-time
+    engine never decrements them; remaining work is ``deadline -
+    integral``).  The ``vt_*`` fields are the virtual-time bookkeeping:
 
     * ``vt_seq_deadline`` / ``vt_rand_deadline`` / ``vt_cpu_deadline``:
       drain deadlines in cumulative-service space.  Random deadlines are
@@ -179,24 +173,6 @@ class _Running:
     vt_share_entry: float = 0.0
     vt_shared: bool = False
     vt_last_phase: int = 0  # len(profile.phases) - 1, cached at start
-    vt_phase_start: float = 0.0  # written only when instrumentation is on
-
-    @property
-    def phase_done(self) -> bool:
-        return (
-            self.rem_seq <= _DONE
-            and self.rem_rand <= _DONE
-            and self.rem_cpu <= _DONE
-        )
-
-    @property
-    def wants_io(self) -> bool:
-        return self.rem_seq > _DONE or self.rem_rand > _DONE
-
-
-def _rem_seq_field(run: _Running) -> float:
-    """Remaining sequential work under the reference engine."""
-    return run.rem_seq
 
 
 @dataclass
@@ -255,14 +231,10 @@ class _EngineInstruments:
     """The executor's metric families, bound once per registry.
 
     Engine-agnostic run totals are recorded from the :class:`RunResult`
-    after either event loop finishes; the virtual-time loop additionally
-    reports its cumulative service integrals and deadline-heap peaks
-    (the reference loop is the executable specification, not a
-    deployment target, so it only gets the run totals).  The per-phase
-    drain-latency histogram is the debug tier: it records only when
-    :attr:`~repro.config.ObservabilityConfig.engine_phase_timings` opts
-    in, because stamping every phase transition costs more than the
-    <= 5% overhead budget the default tier is gated to.
+    after the event loop finishes; the virtual-time loop additionally
+    reports its cumulative service integrals and deadline-heap peaks.
+    Per-phase timing is not a metric: a :class:`~repro.engine.trace.
+    Tracer` sees every interval's per-query phase labels.
     """
 
     def __init__(self, registry: Registry):
@@ -302,11 +274,6 @@ class _EngineInstruments:
             "engine_vt_heap_peak_entries",
             "Largest deadline-heap population observed, by resource",
             labels=("resource",),
-        )
-        self.drain = registry.histogram(
-            "engine_phase_drain_seconds",
-            "Simulated time from phase entry to full drain, by phase label",
-            labels=("phase",),
         )
 
     def record_run(self, result: "RunResult") -> None:
@@ -364,7 +331,6 @@ class ConcurrentExecutor:
         # a bound object or None (zero extra bytecodes per event when
         # disabled — the default).
         self._instr = _EngineInstruments(metrics) if metrics is not None else None
-        self._phase_timings = config.observability.engine_phase_timings
 
     @property
     def metrics(self) -> Optional[Registry]:
@@ -395,15 +361,7 @@ class ConcurrentExecutor:
         """
         if not streams and not background:
             raise SimulationError("nothing to run")
-        if self._sim.engine == "reference":
-            if self._recorder is not None:
-                raise SimulationError(
-                    "blame attribution requires the virtual-time engine; "
-                    "the reference engine does not maintain the "
-                    "cumulative-service deadlines the recorder reads"
-                )
-            result = self._run_reference(streams, background, pinned_bytes)
-        elif self._sim.engine == "batched" and self._batched_ok():
+        if self._sim.engine == "batched" and self._batched_ok():
             # Batch of one; bit-identical to the virtual-time loop.
             # run_batch records into the registry itself (including the
             # batched-specific families), so skip record_run here.
@@ -430,18 +388,12 @@ class ConcurrentExecutor:
     def _batched_ok(self) -> bool:
         """Whether the batched engine can serve this run.
 
-        Tracers need per-interval telemetry, LRU eviction needs per-run
-        recency dicts, phase timings stamp every transition, and blame
-        attribution records per-phase entry/exit coordinates — all
-        inherently scalar, so those runs take the virtual-time loop
-        (which the batched engine mirrors bit-for-bit anyway).
+        Tracers need per-interval telemetry and blame attribution
+        records per-phase entry/exit coordinates — both inherently
+        scalar, so those runs take the virtual-time loop (which the
+        batched engine mirrors bit-for-bit anyway).
         """
-        return (
-            self._tracer is None
-            and self._sim.cache_eviction == "none"
-            and not self._phase_timings
-            and self._recorder is None
-        )
+        return self._tracer is None and self._recorder is None
 
     # ------------------------------------------------------------------
     # Virtual-time engine: cumulative-service scheduling.
@@ -474,8 +426,7 @@ class ConcurrentExecutor:
         if pinned_bytes > 0:
             ledger.pin("spoiler", pinned_bytes)
         cache = BufferCache(
-            capacity_bytes=self.DIMENSION_CACHE_FRACTION * self._hw.ram_bytes,
-            eviction=self._sim.cache_eviction,
+            capacity_bytes=self.DIMENSION_CACHE_FRACTION * self._hw.ram_bytes
         )
 
         now = 0.0
@@ -518,16 +469,9 @@ class ConcurrentExecutor:
         s_rand = 0.0
         s_cpu = 0.0
         # Instrumentation state kept loop-local: peak heap sizes fold
-        # into ints and drain latencies buffer into plain lists, flushed
-        # to the registry once after the loop (Registry.labels() and
-        # Histogram.observe() take locks — too hot for per-phase use).
-        # Draining the phase-timing histogram stamps every transition,
-        # which busts the <= 5% budget of the default tier, so it rides
-        # the separate engine_phase_timings opt-in.
+        # into ints, flushed to the registry once after the loop
+        # (Registry.labels() takes a lock — too hot for per-phase use).
         peak_seq = peak_rand = peak_cpu = 0
-        drains: Dict[str, List[float]] = {}
-        drains_get = drains.get
-        drain_on = instr is not None and self._phase_timings
         # Deadline heaps: (deadline, tiebreak, run).  Entries are pushed
         # at phase entry and leave only by draining — phases cannot be
         # abandoned, so no lazy invalidation is needed.
@@ -555,7 +499,7 @@ class ConcurrentExecutor:
         # credit growth between its join and its drain.
         share_groups: Dict[disk.StreamKey, List[float]] = {}
         # Runs whose current phase has fully drained, awaiting phase
-        # transition (mirrors the reference engine's `finished` scan).
+        # transition (mirrors the reference loop's `finished` scan).
         finished: List[_Running] = []
         # instance id -> phase label, maintained only when tracing.
         phase_labels: Dict[int, str] = {}
@@ -644,8 +588,6 @@ class ConcurrentExecutor:
                 run.vt_io_start = now
             if tracer is not None:
                 phase_labels[run.profile.instance_id] = run.phase.label
-            if drain_on:
-                run.vt_phase_start = now
             if rec_phase is not None:
                 if io_pending:
                     rec_phase((
@@ -774,7 +716,7 @@ class ConcurrentExecutor:
         def process_finished() -> None:
             """Advance/complete every run whose phase has drained.
 
-            Mirrors the reference engine: the batch is a snapshot, runs
+            Mirrors the reference loop: the batch is a snapshot, runs
             are handled in active-set order, and phases that complete
             during processing (zero-work phases) wait for the next event.
             """
@@ -788,13 +730,8 @@ class ConcurrentExecutor:
             finished.clear()
             completed_any = False
             for run in batch:
-                # Inlined _on_phase_end (hot: once per phase transition).
+                # Phase epilogue: admit completed dimension scans.
                 phase = run.phase
-                if drain_on:
-                    bucket = drains_get(phase.label)
-                    if bucket is None:
-                        bucket = drains[phase.label] = []
-                    bucket.append(now - run.vt_phase_start)
                 if (
                     phase.dimension_scan
                     and phase.relation is not None
@@ -939,218 +876,11 @@ class ConcurrentExecutor:
             instr.heap_peak.labels("seq").set_max(peak_seq)
             instr.heap_peak.labels("rand").set_max(peak_rand)
             instr.heap_peak.labels("cpu").set_max(peak_cpu)
-            for label, values in drains.items():
-                instr.drain.labels(label).observe_many(values)
 
         return RunResult(completions=completions, elapsed=now, events=events)
 
     # ------------------------------------------------------------------
-    # Reference engine: full-rescan processor sharing.
-
-    def _run_reference(
-        self,
-        streams: Sequence[Stream],
-        background: Sequence[ResourceProfile],
-        pinned_bytes: float,
-    ) -> RunResult:
-        """The original O(active-set)-per-event loop (the specification)."""
-        ledger = MemoryLedger(total_bytes=self._hw.ram_bytes)
-        if pinned_bytes > 0:
-            ledger.pin("spoiler", pinned_bytes)
-        cache = BufferCache(
-            capacity_bytes=self.DIMENSION_CACHE_FRACTION * self._hw.ram_bytes,
-            eviction=self._sim.cache_eviction,
-        )
-
-        now = 0.0
-        events = 0
-        completions: List[QueryResult] = []
-        completed_counts = [0 for _ in streams]
-        stream_done = [False for _ in streams]
-        # All run-scoped state is local: the executor instance carries
-        # nothing across (or between) runs except config and RNG state.
-        active: List[_Running] = []
-        # Counters replace per-event scans of `active`/`stream_done`:
-        # the run ends when no foreground query is in flight and every
-        # stream has drained.
-        fg_active = 0
-        open_streams = len(streams)
-        max_events = self._sim.max_events
-        time_epsilon = self._sim.time_epsilon
-        tracer = self._tracer
-        # Timed-arrival extension (see the Stream protocol): dormant
-        # streams waiting on a clock time or on the next completion.
-        arrival_fns = [getattr(s, "next_arrival", None) for s in streams]
-        wake_heap: List[Tuple[float, int]] = []
-        pending_wake = [False for _ in streams]
-        pending_count = 0
-
-        def start_query(profile: ResourceProfile, stream_idx: Optional[int]) -> None:
-            nonlocal fg_active
-            stats = QueryStats(
-                template_id=profile.template_id,
-                instance_id=profile.instance_id,
-                start_time=now,
-            )
-            run = _Running(profile=profile, stream_idx=stream_idx, stats=stats)
-            self._enter_phase(
-                run, ledger, cache, len(active) > 0, active, _rem_seq_field
-            )
-            active.append(run)
-            if stream_idx is not None:
-                fg_active += 1
-
-        def pull_stream(idx: int) -> None:
-            nonlocal open_streams, pending_count
-            if stream_done[idx]:
-                return
-            profile = streams[idx].next_profile(now, completed_counts[idx])
-            if profile is not None:
-                start_query(profile, idx)
-                return
-            arrival_fn = arrival_fns[idx]
-            wake = arrival_fn(now) if arrival_fn is not None else None
-            if wake is None:
-                stream_done[idx] = True
-                open_streams -= 1
-            elif wake == math.inf:
-                if not pending_wake[idx]:
-                    pending_wake[idx] = True
-                    pending_count += 1
-            else:
-                heappush(wake_heap, (wake if wake > now else now, idx))
-
-        for profile in background:
-            start_query(profile, None)
-        for idx in range(len(streams)):
-            pull_stream(idx)
-
-        def handle_finished() -> bool:
-            """Advance/complete every run whose phase has drained.
-
-            Phases can complete without time passing (a cache-served
-            dimension scan compiles to zero remaining work), so the main
-            loop drains these before scheduling the next time step.
-            """
-            nonlocal fg_active, pending_count
-            # Fast path: most events drain exactly one component of one
-            # query, so scan cheaply before allocating anything.
-            for run in active:
-                if (
-                    run.rem_seq <= _DONE
-                    and run.rem_rand <= _DONE
-                    and run.rem_cpu <= _DONE
-                ):
-                    break
-            else:
-                return False
-            completed_any = False
-            finished = [run for run in active if run.phase_done]
-            for run in finished:
-                self._on_phase_end(run, ledger, cache)
-                if run.phase_idx + 1 < len(run.profile.phases):
-                    run.phase_idx += 1
-                    self._enter_phase(
-                        run, ledger, cache, len(active) > 1, active, _rem_seq_field
-                    )
-                elif run.profile.background:
-                    run.phase_idx = 0  # circular reader: start over
-                    self._enter_phase(
-                        run, ledger, cache, len(active) > 1, active, _rem_seq_field
-                    )
-                else:
-                    active.remove(run)
-                    ledger.release(run.profile.instance_id)
-                    run.stats.end_time = now
-                    idx = run.stream_idx
-                    if idx is not None:
-                        fg_active -= 1
-                        completed_any = True
-                        completions.append(
-                            QueryResult(
-                                stream_name=streams[idx].name, stats=run.stats
-                            )
-                        )
-                        completed_counts[idx] += 1
-                        pull_stream(idx)
-            if completed_any and pending_count:
-                for idx in range(len(pending_wake)):
-                    if pending_wake[idx]:
-                        pending_wake[idx] = False
-                        pending_count -= 1
-                        pull_stream(idx)
-            return True
-
-        while fg_active > 0 or open_streams > 0:
-            events += 1
-            if events > max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; "
-                    "likely a stalled simulation"
-                )
-
-            if handle_finished():
-                continue
-
-            seq_rate, rand_rate, cpu_rate, group_sizes = self._rates(active)
-            dt = self._time_to_next_event(active, seq_rate, rand_rate, cpu_rate)
-            if wake_heap:
-                dt_wake = wake_heap[0][0] - now
-                if dt_wake < dt:
-                    dt = dt_wake
-            if not math.isfinite(dt) or dt < 0:
-                raise SimulationError("no finite next event; simulation stalled")
-            if dt < time_epsilon:
-                dt = time_epsilon
-
-            if tracer is not None:
-                tracer.record(
-                    self._interval_sample(
-                        now, dt, active, seq_rate, rand_rate, cpu_rate
-                    )
-                )
-            self._advance(active, dt, seq_rate, rand_rate, cpu_rate, group_sizes)
-            now += dt
-            while wake_heap and wake_heap[0][0] <= now:
-                _, idx = heappop(wake_heap)
-                pull_stream(idx)
-            handle_finished()
-
-        return RunResult(completions=completions, elapsed=now, events=events)
-
-    # ------------------------------------------------------------------
-    # Machinery shared by both engines.
-
-    def _interval_sample(
-        self,
-        now: float,
-        dt: float,
-        active: Sequence["_Running"],
-        seq_rate: float,
-        rand_rate: float,
-        cpu_rate: float,
-    ) -> IntervalSample:
-        """Telemetry snapshot for the upcoming constant-rate interval."""
-        seq_consumers = sum(1 for run in active if run.rem_seq > _DONE)
-        rand_consumers = sum(1 for run in active if run.rem_rand > _DONE)
-        cpu_consumers = sum(1 for run in active if run.rem_cpu > _DONE)
-        keys = {
-            self._stream_key(run) for run in active if run.rem_seq > _DONE
-        }
-        num_streams = len(keys) + rand_consumers
-        return IntervalSample(
-            start=now,
-            duration=dt,
-            num_queries=len(active),
-            num_streams=num_streams,
-            seq_bytes_per_sec=seq_rate * len(keys),
-            logical_seq_bytes_per_sec=seq_rate * seq_consumers,
-            rand_ops_per_sec=rand_rate * rand_consumers,
-            cpu_cores_busy=cpu_rate * cpu_consumers,
-            per_query_phase={
-                run.profile.instance_id: run.phase.label for run in active
-            },
-        )
+    # Phase entry and stream keys.
 
     def _enter_phase(
         self,
@@ -1164,8 +894,8 @@ class ConcurrentExecutor:
         """Initialize the remaining-work counters for the current phase.
 
         ``rem_seq`` abstracts over how the calling engine tracks
-        remaining sequential work (a live field for the reference
-        engine, deadline-minus-integral for virtual time); it is only
+        remaining sequential work (deadline-minus-integral for virtual
+        time, a live field for the test suite's reference loop); it is only
         consulted for the shared-scan join-window test.
         """
         sim = self._sim
@@ -1224,18 +954,6 @@ class ConcurrentExecutor:
         else:
             run.rand_factor = 1.0
 
-    def _on_phase_end(
-        self, run: _Running, ledger: MemoryLedger, cache: BufferCache
-    ) -> None:
-        """Phase epilogue: admit completed dimension scans to the cache."""
-        phase = run.phase
-        if (
-            phase.dimension_scan
-            and phase.relation is not None
-            and self._sim.dimension_cache
-        ):
-            cache.admit(phase.relation, phase.seq_bytes)
-
     def _group_progress(
         self,
         relation: Optional[str],
@@ -1267,89 +985,3 @@ class ConcurrentExecutor:
         if run.seq_private or phase.relation is None:
             return disk.private_seq_key(run.profile.instance_id)
         return disk.shared_scan_key(phase.relation)
-
-    # ------------------------------------------------------------------
-    # Reference-engine internals.
-
-    def _rates(
-        self, active: Sequence[_Running]
-    ) -> Tuple[float, float, float, Dict[disk.StreamKey, int]]:
-        """Service rates for the current active set.
-
-        Returns the per-stream sequential rate, per-stream random rate,
-        per-query CPU rate, and the membership count of each sequential
-        stream (to attribute shared-scan credit).
-        """
-        keys: List[disk.StreamKey] = []
-        group_sizes: Dict[disk.StreamKey, int] = {}
-        cpu_demand = 0
-        for run in active:
-            if run.rem_seq > _DONE:
-                key = self._stream_key(run)
-                run.seq_key = key  # reused by _advance this event
-                keys.append(key)
-                group_sizes[key] = group_sizes.get(key, 0) + 1
-            if run.rem_rand > _DONE:
-                keys.append(disk.random_key(run.profile.instance_id))
-            if run.rem_cpu > _DONE:
-                cpu_demand += 1
-
-        rates = disk.allocate(self._hw, keys)
-        cpu_rate = 1.0
-        if cpu_demand > self._hw.cores:
-            cpu_rate = self._hw.cores / cpu_demand
-        return rates.seq_bytes_per_sec, rates.rand_ops_per_sec, cpu_rate, group_sizes
-
-    def _time_to_next_event(
-        self,
-        active: Sequence[_Running],
-        seq_rate: float,
-        rand_rate: float,
-        cpu_rate: float,
-    ) -> float:
-        """Earliest time until any component of any query drains."""
-        best = math.inf
-        for run in active:
-            if run.rem_seq > _DONE and seq_rate > 0:
-                dt = run.rem_seq / seq_rate
-                if dt < best:
-                    best = dt
-            if run.rem_rand > _DONE and rand_rate > 0:
-                dt = run.rem_rand / (rand_rate * run.rand_factor)
-                if dt < best:
-                    best = dt
-            if run.rem_cpu > _DONE and cpu_rate > 0:
-                dt = run.rem_cpu / cpu_rate
-                if dt < best:
-                    best = dt
-        return best
-
-    def _advance(
-        self,
-        active: Sequence[_Running],
-        dt: float,
-        seq_rate: float,
-        rand_rate: float,
-        cpu_rate: float,
-        group_sizes: Dict[disk.StreamKey, int],
-    ) -> None:
-        """Drain every component by *dt* at the current rates."""
-        for run in active:
-            had_io = run.rem_seq > _DONE or run.rem_rand > _DONE
-            if run.rem_seq > _DONE:
-                served = min(run.rem_seq, seq_rate * dt)
-                run.rem_seq -= served
-                run.stats.seq_bytes_read += served
-                # seq_key was computed by _rates for this same event.
-                if group_sizes.get(run.seq_key, 1) > 1:
-                    run.stats.shared_seq_bytes += served
-            if run.rem_rand > _DONE:
-                served = min(run.rem_rand, rand_rate * run.rand_factor * dt)
-                run.rem_rand -= served
-                run.stats.rand_ops_done += served
-            if run.rem_cpu > _DONE:
-                done = min(run.rem_cpu, cpu_rate * dt)
-                run.rem_cpu -= done
-                run.stats.cpu_seconds += done
-            if had_io:
-                run.stats.io_seconds += dt

@@ -28,7 +28,7 @@ conventions of :mod:`repro.metrics.errors`.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -96,16 +96,17 @@ def q_error_summary(
 # Kendall tau-b (Knight's algorithm).
 
 
-def _merge_count(values: np.ndarray) -> int:
+def _merge_count(values: List[float]) -> int:
     """Strict inversions (``values[i] > values[j]`` for ``i < j``).
 
     Iterative bottom-up merge sort; equal elements are kept stable and
     never counted, which is exactly the "discordant pair" count tau-b
-    needs once the sequence is pre-sorted by the other variable.
+    needs once the sequence is pre-sorted by the other variable.  Works
+    on (and reorders) a Python list: element access there is several
+    times cheaper than on a numpy array.
     """
-    values = np.array(values, dtype=float)
     n = len(values)
-    buffer = np.empty_like(values)
+    buffer = values[:]
     inversions = 0
     width = 1
     while width < n:
@@ -139,7 +140,7 @@ def _merge_count(values: np.ndarray) -> int:
     return inversions
 
 
-def _tie_pairs(sorted_values: np.ndarray) -> int:
+def _tie_pairs(sorted_values: List[float]) -> int:
     """Pairs tied in a *sorted* array: ``sum g*(g-1)/2`` over tie groups."""
     total = 0
     run = 1
@@ -151,6 +152,35 @@ def _tie_pairs(sorted_values: np.ndarray) -> int:
             run = 1
     total += run * (run - 1) // 2
     return total
+
+
+def _rank_counts(x: np.ndarray, y: np.ndarray) -> Tuple[int, int, int, int, int]:
+    """Knight's pair counts ``(tot, xtie, ytie, xytie, discordant)``.
+
+    Sort by ``(x, y)``; discordant pairs are then the strict inversions
+    of the sorted ``y`` sequence, and tie counts come from runs in the
+    sorted arrays.  O(n log n), O(n) memory.
+    """
+    n = x.size
+    order = np.lexsort((y, x))
+    xs, ys = x[order].tolist(), y[order].tolist()
+
+    tot = n * (n - 1) // 2
+    xtie = _tie_pairs(xs)
+    ytie = _tie_pairs(np.sort(y).tolist())
+    # Joint ties: pairs tied on both variables.  xs groups are
+    # contiguous and ys is sorted within each, so lexicographic
+    # adjacency finds every joint tie group.
+    xytie = 0
+    run = 1
+    for i in range(1, n):
+        if xs[i] == xs[i - 1] and ys[i] == ys[i - 1]:
+            run += 1
+        else:
+            xytie += run * (run - 1) // 2
+            run = 1
+    xytie += run * (run - 1) // 2
+    return tot, xtie, ytie, xytie, _merge_count(ys)
 
 
 def kendall_tau(truth: Sequence[float], predicted: Sequence[float]) -> float:
@@ -171,27 +201,7 @@ def kendall_tau(truth: Sequence[float], predicted: Sequence[float]) -> float:
         ModelError: On shape mismatch or fewer than two samples.
     """
     x, y = _validate_pair(truth, predicted, minimum=2)
-    n = x.size
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-
-    tot = n * (n - 1) // 2
-    xtie = _tie_pairs(xs)
-    ytie = _tie_pairs(np.sort(y))
-    # Joint ties: pairs tied on both variables.  xs groups are
-    # contiguous and ys is sorted within each, so lexicographic
-    # adjacency finds every joint tie group.
-    xytie = 0
-    run = 1
-    for i in range(1, n):
-        if xs[i] == xs[i - 1] and ys[i] == ys[i - 1]:
-            run += 1
-        else:
-            xytie += run * (run - 1) // 2
-            run = 1
-    xytie += run * (run - 1) // 2
-
-    discordant = _merge_count(ys)
+    tot, xtie, ytie, xytie, discordant = _rank_counts(x, y)
     numerator = tot - xtie - ytie + xytie - 2 * discordant
     denominator = float(np.sqrt(float(tot - xtie) * float(tot - ytie)))
     if denominator == 0.0:
@@ -213,19 +223,17 @@ def pairwise_counts(
     them (deciding by coin flip), 0 otherwise.  Both counts are
     invariant under any joint permutation of the candidates — a pair's
     contribution depends only on its two values.
+
+    Uses the same O(n log n) counts as :func:`kendall_tau`: comparable
+    pairs are ``tot - xtie``; of those, ``tot - xtie - ytie + xytie -
+    discordant`` are concordant and ``ytie - xytie`` tied in the
+    prediction only.
     """
     x, y = _validate_pair(truth, predicted, minimum=1)
-    # Sign of every pairwise difference, upper triangle only.
-    dx = np.sign(x[:, None] - x[None, :])
-    dy = np.sign(y[:, None] - y[None, :])
-    upper = np.triu(np.ones((x.size, x.size), dtype=bool), k=1)
-    comparable = upper & (dx != 0)
-    agree = comparable & (dx == dy)
-    tied = comparable & (dy == 0)
-    correct = float(np.count_nonzero(agree)) + 0.5 * float(
-        np.count_nonzero(tied)
-    )
-    return correct, int(np.count_nonzero(comparable))
+    tot, xtie, ytie, xytie, discordant = _rank_counts(x, y)
+    concordant = tot - xtie - ytie + xytie - discordant
+    correct = float(concordant) + 0.5 * float(ytie - xytie)
+    return correct, tot - xtie
 
 
 def pairwise_accuracy(

@@ -34,6 +34,7 @@ from ..apps.admission import PredictionBackend
 from ..engine.executor import ConcurrentExecutor, RunResult
 from ..engine.profile import ResourceProfile
 from ..errors import ModelError
+from ..metrics.quantiles import percentile as _percentile
 from ..obs.metrics import Registry
 from ..workload.catalog import TemplateCatalog
 from .policies import SchedulerPolicy
@@ -52,17 +53,6 @@ __all__ = [
 _SECONDS_BUCKETS = (
     30.0, 60.0, 120.0, 240.0, 480.0, 960.0, 1920.0, 3840.0, 7680.0,
 )
-
-
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile of an ascending sequence."""
-    if not sorted_values:
-        return 0.0
-    pos = q * (len(sorted_values) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = pos - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
 
 
 @dataclass(frozen=True)

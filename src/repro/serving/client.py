@@ -32,6 +32,7 @@ import numpy as np
 from ..core.contender import SpoilerMode
 from ..core.training import TemplateProfile
 from ..errors import ModelError, ProtocolError, ServingError
+from ..metrics.quantiles import percentile
 from .protocol import (
     AdmitRequest,
     AdmitResponse,
@@ -401,17 +402,6 @@ class LoadReport:
         return "\n".join(f"{label:<{width}}  {value}" for label, value in rows)
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile of an ascending sequence."""
-    if not sorted_values:
-        return 0.0
-    pos = q * (len(sorted_values) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = pos - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
-
-
 def _run_submitters(
     host: str,
     port: int,
@@ -645,9 +635,9 @@ class LoadGenerator:
             errors=errors,
             duration_seconds=duration,
             qps=len(observed) / duration,
-            p50_ms=_percentile(observed, 0.50) * 1e3,
-            p90_ms=_percentile(observed, 0.90) * 1e3,
-            p99_ms=_percentile(observed, 0.99) * 1e3,
+            p50_ms=percentile(observed, 0.50) * 1e3,
+            p90_ms=percentile(observed, 0.90) * 1e3,
+            p99_ms=percentile(observed, 0.99) * 1e3,
             mean_ms=(statistics.fmean(observed) * 1e3) if observed else 0.0,
             max_ms=(observed[-1] * 1e3) if observed else 0.0,
             submitters=submitters,

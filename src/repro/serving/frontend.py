@@ -58,13 +58,14 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import LifecycleConfig, ServingConfig
-from ..errors import ServingError
+from ..errors import ProtocolError, ServingError
 from .app import AppResponse, ModelSnapshot, ServingApp
 from .protocol import (
     BatchPredictRequest,
     PredictRequest,
     PredictResponse,
     decode_json,
+    parse_content_length,
 )
 from .registry import load_artifact
 from .shm import AttachedModel, ControlBlock, attach_model, pack_model
@@ -329,6 +330,13 @@ async def _respond_predict_batch(app: ServingApp, body: bytes) -> AppResponse:
     return response
 
 
+async def _reject(writer: asyncio.StreamWriter, message: str) -> None:
+    """Answer an unparseable request with a 400; the caller closes."""
+    response = AppResponse.from_doc(400, {"error": message, "type": "protocol"})
+    writer.write(_render(response, keep_alive=False))
+    await writer.drain()
+
+
 async def _serve_connection(
     app: ServingApp, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
 ) -> None:
@@ -346,16 +354,7 @@ async def _serve_connection(
                     line.decode("latin-1").rstrip("\r\n").split(" ", 2)
                 )
             except ValueError:
-                writer.write(
-                    _render(
-                        AppResponse.from_doc(
-                            400,
-                            {"error": "malformed request line", "type": "protocol"},
-                        ),
-                        keep_alive=False,
-                    )
-                )
-                await writer.drain()
+                await _reject(writer, "malformed request line")
                 break
             headers: Dict[str, str] = {}
             while True:
@@ -364,7 +363,12 @@ async def _serve_connection(
                     break
                 name, _, value = header.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", 0) or 0)
+            try:
+                length = parse_content_length(headers.get("content-length"))
+            except ProtocolError as exc:
+                # The body's extent is unknown: answer, then close.
+                await _reject(writer, str(exc))
+                break
             body = await reader.readexactly(length) if length else b""
             keep_alive = headers.get("connection", "").lower() != "close"
 

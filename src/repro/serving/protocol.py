@@ -48,6 +48,7 @@ __all__ = [
     "PredictResponse",
     "decode_admit_worst_ratio",
     "decode_json",
+    "parse_content_length",
     "profile_from_doc",
     "profile_to_doc",
 ]
@@ -62,6 +63,22 @@ def decode_json(body: bytes) -> Dict[str, Any]:
     if not isinstance(doc, dict):
         raise ProtocolError("request body must be a JSON object")
     return doc
+
+
+def parse_content_length(value: Optional[str]) -> int:
+    """Body length declared by a ``Content-Length`` header value.
+
+    A missing or empty header means no body.  Anything but a plain
+    non-negative decimal raises :class:`ProtocolError` (a 400): the
+    transports must not hand ``int()`` failures or negative lengths to
+    their body readers.
+    """
+    if not value:
+        return 0
+    value = value.strip()
+    if not (value.isascii() and value.isdigit()):
+        raise ProtocolError(f"invalid Content-Length header: {value!r}")
+    return int(value)
 
 
 def _require(doc: Mapping[str, Any], key: str) -> Any:

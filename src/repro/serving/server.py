@@ -29,9 +29,10 @@ from pathlib import Path
 from typing import Any, Optional
 
 from ..config import LifecycleConfig, ServingConfig
-from ..errors import ServingError
+from ..errors import ProtocolError, ServingError
 from ..obs.metrics import Registry
 from .app import AppResponse, RegistryModelProvider, ServingApp
+from .protocol import parse_content_length
 from .registry import ModelRegistry
 
 __all__ = ["DEFAULT_MODEL_NAME", "PredictionServer"]
@@ -94,7 +95,15 @@ class PredictionServer:
                 pass  # request logging would swamp load tests
 
             def _serve(self) -> None:
-                length = int(self.headers.get("Content-Length", 0))
+                try:
+                    length = parse_content_length(
+                        self.headers.get("Content-Length")
+                    )
+                except ProtocolError as exc:
+                    # The body's extent is unknown: answer, then close.
+                    status, doc, _ = app.map_error(exc)
+                    _respond(self, AppResponse.from_doc(status, doc), close=True)
+                    return
                 body = self.rfile.read(length) if length else b""
                 response = app.handle(self.command, self.path, body)
                 _respond(self, response)
@@ -217,12 +226,14 @@ class PredictionServer:
 
 
 def _respond(
-    handler: BaseHTTPRequestHandler, response: AppResponse
+    handler: BaseHTTPRequestHandler, response: AppResponse, close: bool = False
 ) -> None:
     try:
         handler.send_response(response.status)
         handler.send_header("Content-Type", response.content_type)
         handler.send_header("Content-Length", str(len(response.body)))
+        if close:
+            handler.send_header("Connection", "close")
         handler.end_headers()
         handler.wfile.write(response.body)
     except (BrokenPipeError, ConnectionResetError):

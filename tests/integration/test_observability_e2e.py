@@ -10,7 +10,6 @@ import pytest
 
 from repro.config import (
     HardwareSpec,
-    ObservabilityConfig,
     ServingConfig,
     SimulationConfig,
     SystemConfig,
@@ -32,12 +31,10 @@ def scrape(small_contender, tmp_path_factory):
     registry = Registry()
     tracer = TraceRecorder(seed=42)
 
-    # Layer 1: the discrete-event executor, with the debug tier on so
-    # the per-phase drain histogram shows up in the exposition too.
+    # Layer 1: the discrete-event executor.
     engine_config = SystemConfig(
         hardware=HardwareSpec(seq_bandwidth=MB(100), random_iops=100.0),
         simulation=SimulationConfig(restart_cost=0.0),
-        observability=ObservabilityConfig(engine_phase_timings=True),
     )
     executor = ConcurrentExecutor(engine_config, metrics=registry)
     executor.run([SingleShotStream(
@@ -77,7 +74,6 @@ def test_all_three_layers_share_one_exposition(scrape):
         "engine_runs_total",
         "engine_events_total",
         "engine_vt_service_integral",
-        "engine_phase_drain_seconds_bucket",
         "campaign_tasks_total",
         "campaign_task_seconds_bucket",
         "campaign_workers",

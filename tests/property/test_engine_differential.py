@@ -1,7 +1,8 @@
-"""Differential tests: the fast engines against the reference loop.
+"""Differential tests: the shipped engines against the reference loop.
 
-The reference engine is the executable specification; the virtual-time
-and batched engines must reproduce its physics on arbitrary workloads.
+The reference loop (``tests/reference_engine.py``) is the executable
+specification; the virtual-time and batched engines must reproduce its
+physics on arbitrary workloads.
 Bit-equality with the reference is impossible — it decrements remaining
 work per event while virtual time subtracts a cumulative integral from
 a static deadline, and those float reassociations differ — so that
@@ -18,10 +19,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import HardwareSpec, SimulationConfig, SystemConfig
-from repro.engine.executor import ConcurrentExecutor, SingleShotStream
+from repro.engine.executor import SingleShotStream
 from repro.engine.profile import Phase, ResourceProfile, reader_profile
 from repro.engine.trace import UtilizationTrace
 from repro.units import GB, MB
+from tests.reference_engine import make_executor
 
 #: Per-query stat fields that must agree across engines.
 STAT_FIELDS = (
@@ -42,7 +44,7 @@ REL_TOL = 1e-6
 RELATIONS = ("facts", "orders", "dim_date")
 
 
-def _config(engine, *, window=1.0, ram_gb=1.0, variance=0.35):
+def _config(*, window=1.0, ram_gb=1.0, variance=0.35):
     return SystemConfig(
         hardware=HardwareSpec(
             cores=4,
@@ -52,19 +54,19 @@ def _config(engine, *, window=1.0, ram_gb=1.0, variance=0.35):
             random_io_variance=variance,
         ),
         simulation=SimulationConfig(
-            engine=engine, scan_share_window=window, restart_cost=0.0
+            scan_share_window=window, restart_cost=0.0
         ),
     )
 
 
 def _run_engine(engine, profiles, *, window=1.0, ram_gb=1.0, variance=0.35,
                 background=(), pinned=0.0, seed=0, tracer=None):
-    config = _config(engine, window=window, ram_gb=ram_gb, variance=variance)
+    config = _config(window=window, ram_gb=ram_gb, variance=variance)
     streams = [
         SingleShotStream(p, name=f"s{i}") for i, p in enumerate(profiles)
     ]
-    executor = ConcurrentExecutor(
-        config, rng=np.random.default_rng(seed), tracer=tracer
+    executor = make_executor(
+        engine, config, rng=np.random.default_rng(seed), tracer=tracer
     )
     return executor.run(streams, background=background, pinned_bytes=pinned)
 

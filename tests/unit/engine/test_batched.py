@@ -166,7 +166,3 @@ def test_empty_batch_returns_no_results():
 def test_batched_campaign_ok_conditions():
     assert batched_campaign_ok(_config("batched"))
     assert not batched_campaign_ok(_config("virtual_time"))
-    lru = SystemConfig(
-        simulation=SimulationConfig(engine="batched", cache_eviction="lru")
-    )
-    assert not batched_campaign_ok(lru)

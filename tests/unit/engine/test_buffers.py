@@ -62,32 +62,7 @@ def test_negative_capacity_rejected():
         BufferCache(capacity_bytes=-1)
 
 
-def test_lru_evicts_oldest_to_make_room():
-    cache = BufferCache(capacity_bytes=MB(100), eviction="lru")
-    cache.admit("a", MB(60))
-    cache.admit("b", MB(30))
-    assert cache.admit("c", MB(50))  # evicts 'a'
-    assert not cache.is_resident("a")
-    assert cache.is_resident("b") and cache.is_resident("c")
-
-
-def test_lru_touch_refreshes_recency():
-    cache = BufferCache(capacity_bytes=MB(100), eviction="lru")
-    cache.admit("a", MB(40))
-    cache.admit("b", MB(30))
-    assert cache.is_resident("a")  # touch 'a' -> 'b' becomes the oldest
-    cache.admit("c", MB(50))
-    assert cache.is_resident("a")
-    assert not cache.is_resident("b")
-
-
-def test_lru_never_admits_oversized_relation():
-    cache = BufferCache(capacity_bytes=MB(100), eviction="lru")
-    cache.admit("a", MB(60))
-    assert not cache.admit("huge", MB(200))
-    assert cache.is_resident("a")
-
-
 def test_unknown_eviction_policy_rejected():
-    with pytest.raises(SimulationError):
-        BufferCache(capacity_bytes=MB(10), eviction="clock")
+    # First resident wins; there is no eviction policy to choose.
+    with pytest.raises(TypeError):
+        BufferCache(capacity_bytes=MB(10), eviction="lru")

@@ -12,15 +12,15 @@ from repro.engine.executor import ConcurrentExecutor, SingleShotStream
 from repro.engine.profile import Phase, ResourceProfile
 from repro.obs.metrics import Registry
 from repro.units import MB
+from tests.reference_engine import ReferenceExecutor
 
 
-def _config(phase_timings=False, **sim_kwargs):
+def _config(**sim_kwargs):
     defaults = dict(restart_cost=0.0)
     defaults.update(sim_kwargs)
     return SystemConfig(
         hardware=HardwareSpec(seq_bandwidth=MB(100), random_iops=100.0),
         simulation=SimulationConfig(**defaults),
-        observability=ObservabilityConfig(engine_phase_timings=phase_timings),
     )
 
 
@@ -93,35 +93,18 @@ def test_virtual_time_reports_integral_and_heap_peaks():
     assert reg.get("engine_vt_service_integral").labels(
         "seq"
     ).value == pytest.approx(MB(100))
-
-    # Per-phase drain timings are the debug tier, not the default one.
-    assert reg.get("engine_phase_drain_seconds").children() == []
-
-
-def test_phase_timings_tier_records_drain_histogram():
-    reg = Registry()
-    ex = ConcurrentExecutor(
-        _config(engine="virtual_time", phase_timings=True), metrics=reg
-    )
-    _run(ex, [_seq_profile(MB(100)), _seq_profile(MB(100))])
-
-    drains = dict(reg.get("engine_phase_drain_seconds").children())
-    snap = drains[("scan",)].snapshot()
-    assert snap.count == 2
-    # Fair sharing: each 100 MB scan drains in 2 s at 100 MB/s shared.
-    assert snap.sum == pytest.approx(4.0, rel=1e-6)
-    # The cheap tier is unaffected by the opt-in.
-    assert reg.get("engine_vt_heap_peak_entries").labels("seq").value == 2
+    # Per-phase timing is the tracer's job, not a metric family.
+    assert reg.get("engine_phase_drain_seconds") is None
 
 
 def test_reference_engine_records_run_totals_only():
     reg = Registry()
-    ex = ConcurrentExecutor(_config(engine="reference"), metrics=reg)
+    ex = ReferenceExecutor(_config(), metrics=reg)
     _run(ex, [_seq_profile(MB(100))])
     assert reg.get("engine_runs_total").value == 1
     assert reg.get("engine_completions_total").value == 1
     # The reference loop does not populate virtual-time internals.
-    assert reg.get("engine_phase_drain_seconds").children() == []
+    assert reg.get("engine_vt_service_integral").children() == []
 
 
 def test_shared_registry_across_executors_merges():

@@ -5,8 +5,8 @@ while momentarily idle: a finite wake time re-polls it at that simulated
 time (an arrival that has not happened yet), ``inf`` re-polls it after
 the next foreground completion (a deferred admission), and ``None``
 closes it (the historical meaning of an exhausted stream).  These tests
-drive each mode directly, on the virtual-time engine and the reference
-loop.
+drive each mode directly, on the virtual-time engine and the test-side
+reference loop (``tests/reference_engine.py``).
 """
 
 import math
@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 from repro.config import HardwareSpec, SimulationConfig, SystemConfig
-from repro.engine.executor import ConcurrentExecutor, SingleShotStream
+from repro.engine.executor import SingleShotStream
 from repro.engine.profile import Phase, ResourceProfile
 from repro.units import GB, MB
+from tests.reference_engine import make_executor
 
 ENGINES = ("reference", "virtual_time")
 
 
-def _config(engine):
+def _config():
     return SystemConfig(
         hardware=HardwareSpec(
             cores=4,
@@ -31,7 +32,7 @@ def _config(engine):
             random_iops=100.0,
             random_io_variance=0.0,
         ),
-        simulation=SimulationConfig(engine=engine, restart_cost=0.0),
+        simulation=SimulationConfig(restart_cost=0.0),
     )
 
 
@@ -42,9 +43,7 @@ def _cpu_profile(seconds=1.0):
 
 
 def _run(engine, streams):
-    executor = ConcurrentExecutor(
-        _config(engine), rng=np.random.default_rng(0)
-    )
+    executor = make_executor(engine, _config(), rng=np.random.default_rng(0))
     return executor.run(streams)
 
 

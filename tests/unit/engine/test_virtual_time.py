@@ -1,7 +1,8 @@
 """Unit tests for the virtual-time engine's deadline machinery.
 
 The differential suite (tests/property/test_engine_differential.py)
-holds the engine to the reference loop on randomized workloads; these
+holds the engine to the reference loop (tests/reference_engine.py) on
+randomized workloads; these
 tests pin down the deadline-structure behaviours individually: spill and
 privacy flips at phase entry, background-profile phase cycling,
 ``time_epsilon`` clamping, simultaneous drains, and the engine knob.
@@ -15,6 +16,7 @@ from repro.engine.executor import ConcurrentExecutor, SingleShotStream
 from repro.engine.profile import Phase, ResourceProfile, reader_profile
 from repro.errors import ConfigurationError
 from repro.units import GB, MB
+from tests.reference_engine import ReferenceExecutor
 
 
 def _config(engine="virtual_time", **sim_kwargs):
@@ -31,24 +33,27 @@ def _config(engine="virtual_time", **sim_kwargs):
     )
 
 
-def _run(config, profiles, background=(), pinned=0.0, seed=0):
+def _run(config, profiles, background=(), pinned=0.0, seed=0,
+         executor_cls=ConcurrentExecutor):
     streams = [
         SingleShotStream(p, name=f"s{i}") for i, p in enumerate(profiles)
     ]
-    executor = ConcurrentExecutor(config, rng=np.random.default_rng(seed))
+    executor = executor_cls(config, rng=np.random.default_rng(seed))
     return executor.run(streams, background=background, pinned_bytes=pinned)
 
 
 def _both(profiles, background=(), pinned=0.0, seed=0, **sim_kwargs):
+    """(reference loop, virtual-time engine) results for one workload."""
     return tuple(
         _run(
-            _config(engine, **sim_kwargs),
+            _config(**sim_kwargs),
             profiles,
             background=background,
             pinned=pinned,
             seed=seed,
+            executor_cls=cls,
         )
-        for engine in ("reference", "virtual_time")
+        for cls in (ReferenceExecutor, ConcurrentExecutor)
     )
 
 
@@ -56,8 +61,10 @@ class TestEngineKnob:
     def test_default_engine_is_virtual_time(self):
         assert SimulationConfig().engine == "virtual_time"
 
-    def test_reference_engine_selectable(self):
-        assert SimulationConfig(engine="reference").engine == "reference"
+    def test_reference_engine_rejected(self):
+        # The reference loop is a test oracle, not a shipped engine.
+        with pytest.raises(ConfigurationError, match="engine"):
+            SimulationConfig(engine="reference")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError, match="engine"):

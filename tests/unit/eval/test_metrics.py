@@ -5,6 +5,8 @@ The load-bearing properties:
 * ``kendall_tau`` agrees with a brute-force O(n^2) tau-b on arbitrary
   tied inputs — Knight's algorithm is an optimization, not a different
   statistic;
+* ``pairwise_counts`` (computed from the same counts) agrees with a
+  brute-force O(n^2) sign-matrix count;
 * q-errors are >= 1 and symmetric under swapping observed/predicted;
 * pairwise counts are invariant under any joint permutation of the
   candidates and award exactly half credit for prediction ties.
@@ -149,6 +151,28 @@ def test_q_error_rejects_non_positive():
 
 # ----------------------------------------------------------------------
 # Pairwise winner prediction.
+
+
+def _brute_force_pairwise_counts(xs, ys):
+    """O(n^2) sign-matrix reference for :func:`pairwise_counts`."""
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    dx = np.sign(x[:, None] - x[None, :])
+    dy = np.sign(y[:, None] - y[None, :])
+    upper = np.triu(np.ones((x.size, x.size), dtype=bool), k=1)
+    comparable = upper & (dx != 0)
+    agree = comparable & (dx == dy)
+    tied = comparable & (dy == 0)
+    correct = float(np.count_nonzero(agree)) + 0.5 * float(
+        np.count_nonzero(tied)
+    )
+    return correct, int(np.count_nonzero(comparable))
+
+
+@given(paired_vectors(min_size=1, max_size=40))
+def test_pairwise_counts_match_brute_force(pair):
+    xs, ys = pair
+    assert pairwise_counts(xs, ys) == _brute_force_pairwise_counts(xs, ys)
 
 
 @given(paired_vectors(), st.randoms(use_true_random=False))

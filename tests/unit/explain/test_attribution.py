@@ -14,6 +14,7 @@ from repro.explain import (
     max_residual,
 )
 from repro.units import GB, MB
+from tests.reference_engine import ReferenceExecutor
 
 
 def _config(engine="virtual_time", *, variance=0.0, window=1.0):
@@ -156,9 +157,9 @@ def test_rand_variance_draw_is_a_self_entry():
 
 
 def test_reference_engine_refuses_recorder():
-    config = _config("reference")
-    executor = ConcurrentExecutor(
-        config, rng=np.random.default_rng(0), recorder=ExplainRecorder()
+    # The test-side reference loop keeps no deadlines to record.
+    executor = ReferenceExecutor(
+        _config(), rng=np.random.default_rng(0), recorder=ExplainRecorder()
     )
     with pytest.raises(SimulationError, match="virtual-time engine"):
         executor.run([SingleShotStream(MIXED[0], name="s0")])

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import ServingConfig
 from repro.errors import ModelError, ServingError
+from repro.metrics import percentile
 from repro.serving import (
     LoadGenerator,
     PredictionClient,
@@ -12,7 +13,6 @@ from repro.serving import (
     mix_pool_workload,
     save_artifact,
 )
-from repro.serving.client import _percentile
 
 TEMPLATES = (22, 26, 62, 65, 71)
 
@@ -111,10 +111,10 @@ def test_load_generator_rejects_empty_workload(server):
 
 def test_percentile_interpolates():
     values = [1.0, 2.0, 3.0, 4.0]
-    assert _percentile(values, 0.0) == 1.0
-    assert _percentile(values, 1.0) == 4.0
-    assert _percentile(values, 0.5) == pytest.approx(2.5)
-    assert _percentile([], 0.5) == 0.0
+    assert percentile(values, 0.0) == 1.0
+    assert percentile(values, 1.0) == 4.0
+    assert percentile(values, 0.5) == pytest.approx(2.5)
+    assert percentile([], 0.5) == 0.0
 
 
 def test_remote_admission_backend(server):

@@ -414,6 +414,38 @@ def test_serve_connection_keep_alive_and_routing(app):
     assert json.loads(batch[1])["items"]
 
 
+@pytest.mark.parametrize("length", [b"abc", b"-5", b"1e3"])
+def test_serve_connection_rejects_bad_content_length(app, length):
+    async def drive():
+        server = await asyncio.start_server(
+            lambda r, w: _serve_connection(app, r, w),
+            host="127.0.0.1",
+            port=0,
+        )
+        port = server.sockets[0].getsockname()[1]
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(
+                b"POST /v1/predict HTTP/1.1\r\nContent-Length: %s\r\n\r\n"
+                % length
+            )
+            response = await _read_response(reader)
+            # The server closes: the body's extent was never known.
+            eof = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            await writer.wait_closed()
+            return response, eof
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    (status, headers, body), eof = asyncio.run(drive())
+    assert status == 400
+    assert headers["connection"] == "close"
+    assert json.loads(body)["type"] == "protocol"
+    assert eof == b""
+
+
 # -- the worker main loop ---------------------------------------------
 
 

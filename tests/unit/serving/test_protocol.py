@@ -14,6 +14,7 @@ from repro.serving.protocol import (
     PredictRequest,
     PredictResponse,
     decode_json,
+    parse_content_length,
     profile_from_doc,
     profile_to_doc,
 )
@@ -24,6 +25,15 @@ def test_decode_json_rejects_non_object():
         decode_json(b"[1, 2]")
     with pytest.raises(ProtocolError, match="not valid JSON"):
         decode_json(b"{nope")
+
+
+def test_parse_content_length():
+    assert parse_content_length(None) == 0
+    assert parse_content_length("") == 0
+    assert parse_content_length(" 42 ") == 42
+    for bad in ("abc", "-1", "+1", "1e3", "1_000", "\u0661"):
+        with pytest.raises(ProtocolError, match="Content-Length"):
+            parse_content_length(bad)
 
 
 def test_predict_request_round_trip():

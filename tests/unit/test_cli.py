@@ -172,6 +172,40 @@ def test_stats_rejects_malformed_url(capsys):
     assert "malformed url" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_reference_engine_is_not_a_cli_choice(tmp_path, capsys, command):
+    argv = (
+        ["train", "--out", str(tmp_path / "c.pkl")]
+        if command == "train"
+        else ["eval", "compare"]
+    )
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--engine", "reference"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'reference'" in capsys.readouterr().err
+
+
+def test_sched_and_eval_load_a_campaign_file(
+    small_training_data, tmp_path, capsys
+):
+    import json
+
+    path = tmp_path / "campaign.pkl"
+    small_training_data.save(path)
+    common = ["--data", str(path), "--json"]
+    assert main(
+        ["sched", "run", "--templates", "26,65", "--count", "4",
+         "--max-mpl", "2", *common]
+    ) == 0
+    replay = json.loads(capsys.readouterr().out)
+    assert replay["completed"] == 4
+    assert main(
+        ["eval", "run", "--mpls", "2", "--sets", "1", "--window", "2", *common]
+    ) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["seed"] == 7 and report["ground_truth"]["mixes"] > 0
+
+
 def test_stats_unreachable_server_fails_cleanly(capsys):
     assert main(["stats", "127.0.0.1:1"]) == 1
     err = capsys.readouterr().err

@@ -72,12 +72,9 @@ def test_system_config_equality_by_value():
 
 
 def test_simulation_rejects_unknown_cache_eviction():
-    with pytest.raises(ConfigurationError):
-        SimulationConfig(cache_eviction="mru")
-
-
-def test_lru_cache_eviction_accepted():
-    assert SimulationConfig(cache_eviction="lru").cache_eviction == "lru"
+    # The buffer cache has one policy, so the knob is gone.
+    with pytest.raises(TypeError):
+        SimulationConfig(cache_eviction="lru")
 
 
 def test_serving_config_defaults_valid():

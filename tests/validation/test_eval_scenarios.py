@@ -13,8 +13,9 @@ Identity guarantees, mirroring the campaign's own:
   lockstep);
 * any ``--jobs`` value produces bit-identical documents (per-task
   seeding, no shared RNG stream);
-* the ``reference`` engine agrees **exactly** on every discrete rank
-  quantity — pair counts, pairwise accuracy, winner rate, and
+* the reference loop (``tests/reference_engine.py``, patched in for
+  every in-process executor run) agrees **exactly** on every discrete
+  rank quantity — pair counts, pairwise accuracy, winner rate, and
   Kendall tau (a pure function of order statistics) — while continuous
   latency-derived numbers (q-error, MRE, simulated seconds) drift only
   by float reassociation, well inside 1e-9 relative.
@@ -26,10 +27,12 @@ from repro.config import SimulationConfig, SystemConfig
 from repro.core.training import collect_training_data
 from repro.eval.backends import named_backends
 from repro.eval.harness import run_matrix
+from repro.engine.executor import ConcurrentExecutor
 from repro.eval.scenarios import default_matrix
 from repro.sampling.steady_state import SteadyStateConfig
 from repro.workload.catalog import TemplateCatalog
 from tests.conftest import SMALL_TEMPLATES
+from tests.reference_engine import reference_run
 
 #: Same pin tolerance as test_golden_numbers: absorbs cross-platform
 #: float reassociation, trips on any model or harness change.
@@ -39,13 +42,17 @@ SEED = 7
 STEADY = SteadyStateConfig(samples_per_stream=3)
 
 
-def _pipeline(engine):
+def _pipeline(engine, jobs=None):
     """Catalog, campaign, and backends, all under one engine."""
     catalog = TemplateCatalog(
         config=SystemConfig(simulation=SimulationConfig(engine=engine))
     ).subset(SMALL_TEMPLATES)
     data = collect_training_data(
-        catalog, mpls=(2, 3), lhs_runs_per_mpl=2, steady_config=STEADY
+        catalog,
+        mpls=(2, 3),
+        lhs_runs_per_mpl=2,
+        steady_config=STEADY,
+        jobs=jobs,
     )
     return catalog, named_backends(data)
 
@@ -148,8 +155,11 @@ def test_jobs_do_not_change_results(vt_pipeline, result):
         assert _evaluate(vt_pipeline, jobs=jobs).to_doc() == result.to_doc()
 
 
-def test_reference_engine_agrees(result):
-    reference = _evaluate(_pipeline("reference"))
+def test_reference_engine_agrees(result, monkeypatch):
+    # In-process (jobs=1): every campaign and ground-truth run goes
+    # through ConcurrentExecutor.run, so patching it swaps the loop.
+    monkeypatch.setattr(ConcurrentExecutor, "run", reference_run)
+    reference = _evaluate(_pipeline("virtual_time", jobs=1), jobs=1)
     assert reference.mixes == result.mixes
     assert reference.sim_seconds == pytest.approx(
         result.sim_seconds, rel=1e-9
