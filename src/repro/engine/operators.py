@@ -1,10 +1,17 @@
 """Query-execution-plan (QEP) operator nodes and their resource costing.
 
 Template builders construct small operator trees out of these nodes; the
-compiler in :mod:`repro.engine.profile` walks the tree and turns each node
-into resource demands.  We do not implement a full optimizer: cardinalities
-are supplied by the template definitions, exactly as the paper consumes the
-*estimates* printed in PostgreSQL EXPLAIN output.
+compiler in :mod:`repro.engine.profile` lowers the tree and turns each
+node into resource demands.  We do not implement a full optimizer:
+cardinalities are supplied by the template definitions, exactly as the
+paper consumes the *estimates* printed in PostgreSQL EXPLAIN output.
+
+Each operator's cost model is one static function, :meth:`PlanNode.model`:
+it maps the node's :attr:`~PlanNode.MODEL_FIELDS` values, followed by
+each child's output rows and width, to ``(rows, width, NodeCost)``.  The
+``output_rows``/``output_width``/``cost()`` accessors and the compiled
+program in :mod:`repro.engine.profile` both call it, so the float
+expressions live in exactly one place.
 
 Per-row CPU constants are calibrated so that, at the default hardware spec,
 a large fact-table scan is roughly balanced between I/O and CPU — which is
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import WorkloadError
 from .relation import Relation
@@ -39,8 +46,7 @@ INDEX_FETCH_PER_ROW = 1.0
 BITMAP_FETCH_PER_ROW = 0.25
 
 
-@dataclass(frozen=True)
-class NodeCost:
+class NodeCost(NamedTuple):
     """Resource demand contributed by a single plan node.
 
     Attributes:
@@ -57,6 +63,10 @@ class NodeCost:
     cpu_seconds: float = 0.0
     mem_bytes: float = 0.0
     spillable: bool = False
+
+
+#: What :meth:`PlanNode.model` returns: output rows, output width, own cost.
+NodeEstimate = Tuple[float, float, NodeCost]
 
 
 @dataclass
@@ -79,31 +89,47 @@ class PlanNode:
     #: Human/feature name of the execution step; subclasses override.
     step = "PlanNode"
 
+    #: Fields :meth:`model` reads, in the order it takes them (a class
+    #: attribute, not a dataclass field: it carries no annotation).
+    MODEL_FIELDS = ("cpu_factor", "project_width")
+
     def __post_init__(self) -> None:
         if self.cpu_factor < 0:
             raise WorkloadError(f"{self.step}: cpu_factor must be >= 0")
         if self.project_width is not None and self.project_width <= 0:
             raise WorkloadError(f"{self.step}: project_width must be positive")
 
-    def _project(self, computed_width: float) -> float:
-        """Apply the optional projection to a computed row width."""
-        if self.project_width is not None:
-            return self.project_width
-        return computed_width
+    @staticmethod
+    def model(*args) -> NodeEstimate:
+        """The cost model: ``(rows, width, NodeCost)`` of this node.
+
+        Arguments are the :attr:`MODEL_FIELDS` values in order, then each
+        child's output rows and width.
+        """
+        raise NotImplementedError
+
+    def evaluate(self) -> NodeEstimate:
+        """:meth:`model` at this node's fields over its children's outputs."""
+        inputs: List[float] = []
+        for child in self.children:
+            rows, width, _ = child.evaluate()
+            inputs += (rows, width)
+        fields = [getattr(self, name) for name in self.MODEL_FIELDS]
+        return self.model(*fields, *inputs)
 
     @property
     def output_rows(self) -> float:
         """Estimated cardinality of this node's output."""
-        raise NotImplementedError
+        return self.evaluate()[0]
 
     @property
     def output_width(self) -> float:
         """Estimated bytes per output row."""
-        raise NotImplementedError
+        return self.evaluate()[1]
 
     def cost(self) -> NodeCost:
         """Resource demand of this node alone (children excluded)."""
-        raise NotImplementedError
+        return self.evaluate()[2]
 
     @property
     def is_blocking(self) -> bool:
@@ -129,6 +155,7 @@ class SeqScan(PlanNode):
     selectivity: float = 1.0
 
     step = "SeqScan"
+    MODEL_FIELDS = ("relation", "selectivity", "cpu_factor", "project_width")
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -139,18 +166,16 @@ class SeqScan(PlanNode):
         if self.children:
             raise WorkloadError("SeqScan is a leaf; it takes no children")
 
-    @property
-    def output_rows(self) -> float:
-        return self.relation.row_count * self.selectivity
-
-    @property
-    def output_width(self) -> float:
-        return self._project(self.relation.row_width)
-
-    def cost(self) -> NodeCost:
-        rows = self.relation.row_count
-        cpu = rows * (CPU_SCAN_ROW + CPU_FILTER_ROW) * self.cpu_factor
-        return NodeCost(seq_bytes=self.relation.size_bytes, cpu_seconds=cpu)
+    @staticmethod
+    def model(relation, selectivity, cpu_factor, project_width) -> NodeEstimate:
+        rows = relation.row_count
+        cpu = rows * (CPU_SCAN_ROW + CPU_FILTER_ROW) * cpu_factor
+        width = relation.row_width if project_width is None else project_width
+        return (
+            rows * selectivity,
+            width,
+            NodeCost(relation.size_bytes, 0.0, cpu),
+        )
 
     def feature_name(self) -> str:
         # The paper treats sequential scans on different tables as distinct
@@ -166,6 +191,7 @@ class IndexScan(PlanNode):
     matching_rows: float = 0.0
 
     step = "IndexScan"
+    MODEL_FIELDS = ("relation", "matching_rows", "cpu_factor", "project_width")
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -176,18 +202,12 @@ class IndexScan(PlanNode):
         if self.children:
             raise WorkloadError("IndexScan is a leaf; it takes no children")
 
-    @property
-    def output_rows(self) -> float:
-        return self.matching_rows
-
-    @property
-    def output_width(self) -> float:
-        return self._project(self.relation.row_width)
-
-    def cost(self) -> NodeCost:
-        ops = self.matching_rows * INDEX_FETCH_PER_ROW
-        cpu = self.matching_rows * CPU_SCAN_ROW * self.cpu_factor
-        return NodeCost(rand_ops=ops, cpu_seconds=cpu)
+    @staticmethod
+    def model(relation, matching_rows, cpu_factor, project_width) -> NodeEstimate:
+        ops = matching_rows * INDEX_FETCH_PER_ROW
+        cpu = matching_rows * CPU_SCAN_ROW * cpu_factor
+        width = relation.row_width if project_width is None else project_width
+        return matching_rows, width, NodeCost(0.0, ops, cpu)
 
 
 @dataclass
@@ -198,6 +218,7 @@ class BitmapHeapScan(PlanNode):
     matching_rows: float = 0.0
 
     step = "BitmapHeapScan"
+    MODEL_FIELDS = ("relation", "matching_rows", "cpu_factor", "project_width")
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -206,18 +227,12 @@ class BitmapHeapScan(PlanNode):
         if self.matching_rows <= 0:
             raise WorkloadError("BitmapHeapScan matching_rows must be positive")
 
-    @property
-    def output_rows(self) -> float:
-        return self.matching_rows
-
-    @property
-    def output_width(self) -> float:
-        return self._project(self.relation.row_width)
-
-    def cost(self) -> NodeCost:
-        ops = self.matching_rows * BITMAP_FETCH_PER_ROW
-        cpu = self.matching_rows * (CPU_SCAN_ROW + CPU_FILTER_ROW) * self.cpu_factor
-        return NodeCost(rand_ops=ops, cpu_seconds=cpu)
+    @staticmethod
+    def model(relation, matching_rows, cpu_factor, project_width) -> NodeEstimate:
+        ops = matching_rows * BITMAP_FETCH_PER_ROW
+        cpu = matching_rows * (CPU_SCAN_ROW + CPU_FILTER_ROW) * cpu_factor
+        width = relation.row_width if project_width is None else project_width
+        return matching_rows, width, NodeCost(0.0, ops, cpu)
 
 
 def _require_children(node: PlanNode, expected: int) -> None:
@@ -228,6 +243,9 @@ def _require_children(node: PlanNode, expected: int) -> None:
         )
 
 
+_JOIN_FIELDS = ("join_selectivity", "cpu_factor", "project_width")
+
+
 @dataclass
 class HashJoin(PlanNode):
     """Hash join: blocking build on the inner (second) child."""
@@ -235,6 +253,7 @@ class HashJoin(PlanNode):
     join_selectivity: float = 1.0
 
     step = "HashJoin"
+    MODEL_FIELDS = _JOIN_FIELDS
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -251,25 +270,23 @@ class HashJoin(PlanNode):
         return self.children[1]
 
     @property
-    def output_rows(self) -> float:
-        return max(self.outer.output_rows * self.join_selectivity, 1.0)
-
-    @property
-    def output_width(self) -> float:
-        return self._project(self.outer.output_width + self.inner.output_width)
-
-    @property
     def is_blocking(self) -> bool:
         return True
 
-    def cost(self) -> NodeCost:
-        build_rows = self.inner.output_rows
-        probe_rows = self.outer.output_rows
+    @staticmethod
+    def model(
+        join_selectivity, cpu_factor, project_width,
+        outer_rows, outer_width, inner_rows, inner_width,
+    ) -> NodeEstimate:
         cpu = (
-            build_rows * CPU_HASH_BUILD_ROW + probe_rows * CPU_HASH_PROBE_ROW
-        ) * self.cpu_factor
-        mem = build_rows * self.inner.output_width
-        return NodeCost(cpu_seconds=cpu, mem_bytes=mem, spillable=True)
+            inner_rows * CPU_HASH_BUILD_ROW + outer_rows * CPU_HASH_PROBE_ROW
+        ) * cpu_factor
+        width = outer_width + inner_width if project_width is None else project_width
+        return (
+            max(outer_rows * join_selectivity, 1.0),
+            width,
+            NodeCost(0.0, 0.0, cpu, inner_rows * inner_width, True),
+        )
 
 
 @dataclass
@@ -279,6 +296,7 @@ class MergeJoin(PlanNode):
     join_selectivity: float = 1.0
 
     step = "MergeJoin"
+    MODEL_FIELDS = _JOIN_FIELDS
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -286,17 +304,18 @@ class MergeJoin(PlanNode):
         if self.join_selectivity <= 0:
             raise WorkloadError("MergeJoin join_selectivity must be positive")
 
-    @property
-    def output_rows(self) -> float:
-        return max(self.children[0].output_rows * self.join_selectivity, 1.0)
-
-    @property
-    def output_width(self) -> float:
-        return self._project(sum(child.output_width for child in self.children))
-
-    def cost(self) -> NodeCost:
-        rows = sum(child.output_rows for child in self.children)
-        return NodeCost(cpu_seconds=rows * CPU_MERGE_ROW * self.cpu_factor)
+    @staticmethod
+    def model(
+        join_selectivity, cpu_factor, project_width,
+        outer_rows, outer_width, inner_rows, inner_width,
+    ) -> NodeEstimate:
+        width = outer_width + inner_width if project_width is None else project_width
+        cpu = (outer_rows + inner_rows) * CPU_MERGE_ROW * cpu_factor
+        return (
+            max(outer_rows * join_selectivity, 1.0),
+            width,
+            NodeCost(0.0, 0.0, cpu),
+        )
 
 
 @dataclass
@@ -307,6 +326,9 @@ class NestedLoopJoin(PlanNode):
     inner_lookup_ops: float = 0.0
 
     step = "NestedLoopJoin"
+    MODEL_FIELDS = (
+        "join_selectivity", "inner_lookup_ops", "cpu_factor", "project_width",
+    )
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -314,19 +336,17 @@ class NestedLoopJoin(PlanNode):
         if self.inner_lookup_ops < 0:
             raise WorkloadError("inner_lookup_ops must be >= 0")
 
-    @property
-    def output_rows(self) -> float:
-        return max(self.children[0].output_rows * self.join_selectivity, 1.0)
-
-    @property
-    def output_width(self) -> float:
-        return self._project(sum(child.output_width for child in self.children))
-
-    def cost(self) -> NodeCost:
-        outer_rows = self.children[0].output_rows
-        cpu = outer_rows * CPU_NESTED_ROW * self.cpu_factor
-        return NodeCost(
-            rand_ops=outer_rows * self.inner_lookup_ops, cpu_seconds=cpu
+    @staticmethod
+    def model(
+        join_selectivity, inner_lookup_ops, cpu_factor, project_width,
+        outer_rows, outer_width, inner_rows, inner_width,
+    ) -> NodeEstimate:
+        width = outer_width + inner_width if project_width is None else project_width
+        cpu = outer_rows * CPU_NESTED_ROW * cpu_factor
+        return (
+            max(outer_rows * join_selectivity, 1.0),
+            width,
+            NodeCost(0.0, outer_rows * inner_lookup_ops, cpu),
         )
 
 
@@ -341,22 +361,15 @@ class Sort(PlanNode):
         _require_children(self, 1)
 
     @property
-    def output_rows(self) -> float:
-        return self.children[0].output_rows
-
-    @property
-    def output_width(self) -> float:
-        return self._project(self.children[0].output_width)
-
-    @property
     def is_blocking(self) -> bool:
         return True
 
-    def cost(self) -> NodeCost:
-        rows = max(self.children[0].output_rows, 2.0)
-        cpu = rows * CPU_SORT_ROW_LOG * math.log2(rows) * self.cpu_factor
-        mem = rows * self.children[0].output_width
-        return NodeCost(cpu_seconds=cpu, mem_bytes=mem, spillable=True)
+    @staticmethod
+    def model(cpu_factor, project_width, input_rows, input_width) -> NodeEstimate:
+        rows = max(input_rows, 2.0)
+        cpu = rows * CPU_SORT_ROW_LOG * math.log2(rows) * cpu_factor
+        width = input_width if project_width is None else project_width
+        return input_rows, width, NodeCost(0.0, 0.0, cpu, rows * input_width, True)
 
 
 @dataclass
@@ -365,6 +378,8 @@ class Aggregate(PlanNode):
 
     groups: float = 1.0
     strategy: str = "hash"  # 'hash' or 'group'
+
+    MODEL_FIELDS = ("groups", "strategy", "cpu_factor", "project_width")
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -379,24 +394,20 @@ class Aggregate(PlanNode):
         return "HashAggregate" if self.strategy == "hash" else "GroupAggregate"
 
     @property
-    def output_rows(self) -> float:
-        return self.groups
-
-    @property
-    def output_width(self) -> float:
-        return self._project(self.children[0].output_width)
-
-    @property
     def is_blocking(self) -> bool:
         return self.strategy == "hash"
 
-    def cost(self) -> NodeCost:
-        rows = self.children[0].output_rows
-        cpu = rows * CPU_AGG_ROW * self.cpu_factor
-        if self.strategy == "hash":
-            mem = self.groups * self.children[0].output_width
-            return NodeCost(cpu_seconds=cpu, mem_bytes=mem, spillable=True)
-        return NodeCost(cpu_seconds=cpu)
+    @staticmethod
+    def model(
+        groups, strategy, cpu_factor, project_width, input_rows, input_width
+    ) -> NodeEstimate:
+        cpu = input_rows * CPU_AGG_ROW * cpu_factor
+        width = input_width if project_width is None else project_width
+        if strategy == "hash":
+            cost = NodeCost(0.0, 0.0, cpu, groups * input_width, True)
+        else:
+            cost = NodeCost(0.0, 0.0, cpu)
+        return groups, width, cost
 
     def feature_name(self) -> str:
         return self.step
@@ -412,17 +423,11 @@ class WindowAgg(PlanNode):
         super().__post_init__()
         _require_children(self, 1)
 
-    @property
-    def output_rows(self) -> float:
-        return self.children[0].output_rows
-
-    @property
-    def output_width(self) -> float:
-        return self._project(self.children[0].output_width)
-
-    def cost(self) -> NodeCost:
-        rows = self.children[0].output_rows
-        return NodeCost(cpu_seconds=rows * CPU_WINDOW_ROW * self.cpu_factor)
+    @staticmethod
+    def model(cpu_factor, project_width, input_rows, input_width) -> NodeEstimate:
+        width = input_width if project_width is None else project_width
+        cost = NodeCost(0.0, 0.0, input_rows * CPU_WINDOW_ROW * cpu_factor)
+        return input_rows, width, cost
 
 
 @dataclass
@@ -436,25 +441,15 @@ class Materialize(PlanNode):
         _require_children(self, 1)
 
     @property
-    def output_rows(self) -> float:
-        return self.children[0].output_rows
-
-    @property
-    def output_width(self) -> float:
-        return self._project(self.children[0].output_width)
-
-    @property
     def is_blocking(self) -> bool:
         return True
 
-    def cost(self) -> NodeCost:
-        rows = self.children[0].output_rows
-        mem = rows * self.children[0].output_width
-        return NodeCost(
-            cpu_seconds=rows * CPU_MATERIALIZE_ROW * self.cpu_factor,
-            mem_bytes=mem,
-            spillable=True,
-        )
+    @staticmethod
+    def model(cpu_factor, project_width, input_rows, input_width) -> NodeEstimate:
+        width = input_width if project_width is None else project_width
+        cpu = input_rows * CPU_MATERIALIZE_ROW * cpu_factor
+        cost = NodeCost(0.0, 0.0, cpu, input_rows * input_width, True)
+        return input_rows, width, cost
 
 
 @dataclass
@@ -465,22 +460,17 @@ class CTEScan(PlanNode):
     width: float = 64.0
 
     step = "CTEScan"
+    MODEL_FIELDS = ("rows", "width", "cpu_factor", "project_width")
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.rows <= 0:
             raise WorkloadError("CTEScan rows must be positive")
 
-    @property
-    def output_rows(self) -> float:
-        return self.rows
-
-    @property
-    def output_width(self) -> float:
-        return self._project(self.width)
-
-    def cost(self) -> NodeCost:
-        return NodeCost(cpu_seconds=self.rows * CPU_SCAN_ROW * self.cpu_factor)
+    @staticmethod
+    def model(rows, width, cpu_factor, project_width) -> NodeEstimate:
+        out_width = width if project_width is None else project_width
+        return rows, out_width, NodeCost(0.0, 0.0, rows * CPU_SCAN_ROW * cpu_factor)
 
 
 #: Leaf node types that touch base relations.

@@ -20,11 +20,12 @@ Rules:
   ``Materialize``);
 * scans take a relation name; parameters go in a trailing
   ``(key=value ...)`` group (``sel``, ``rows``, ``groups``, ``cpu``,
-  ``width``, ``lookup_ops``).
+  ``width``, ``lookup_ops``); values must be finite numbers.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,11 +67,16 @@ def _parse_params(text: Optional[str], line_no: int) -> Dict[str, float]:
             raise WorkloadError(f"line {line_no}: malformed parameter {item!r}")
         key, _, value = item.partition("=")
         try:
-            out[key] = float(value)
+            number = float(value)
         except ValueError:
             raise WorkloadError(
                 f"line {line_no}: non-numeric value for {key!r}: {value!r}"
             ) from None
+        if not math.isfinite(number):
+            raise WorkloadError(
+                f"line {line_no}: non-finite value for {key!r}: {value!r}"
+            )
+        out[key] = number
     return out
 
 

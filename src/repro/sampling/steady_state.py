@@ -21,7 +21,7 @@ from ..engine.executor import ConcurrentExecutor, RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..explain.recorder import ExplainRecorder
-from ..engine.profile import ResourceProfile
+from ..engine.profile import ResourceProfile, startup_phase
 from ..engine.stats import QueryStats
 from ..errors import SamplingError
 from ..workload.catalog import TemplateCatalog
@@ -77,13 +77,18 @@ class TemplateStream:
             raise SamplingError("stream target must be >= 1")
         if not self.name:
             self.name = f"t{self.template_id}"
+        # Built once: nearly every steady-state instance after the first
+        # pays the restart cost.
+        self._startup = (
+            startup_phase(self.restart_cost) if self.restart_cost > 0 else None
+        )
 
     def next_profile(self, now: float, completed: int) -> Optional[ResourceProfile]:
         if completed >= self.target:
             return None
         profile = self.catalog.profile(self.template_id, rng=self.rng)
-        if completed > 0 and self.restart_cost > 0:
-            profile = profile.with_startup(self.restart_cost)
+        if completed > 0 and self._startup is not None:
+            profile = profile.with_startup(self._startup)
         return profile
 
 

@@ -9,24 +9,27 @@ the per-fact-table scan times ``s_f`` that CQI needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import SystemConfig, DEFAULT_CONFIG
 from ..engine.executor import ConcurrentExecutor, SingleShotStream
 from ..engine.plans import QueryPlan
-from ..engine.profile import ResourceProfile, compile_plan, scan_profile
+from ..engine.profile import ResourceProfile, scan_profile
 from ..engine.stats import QueryStats
 from ..errors import WorkloadError
 from .schema import Schema, build_schema
 from .templates import (
     InstanceParams,
+    TemplateProgram,
     TemplateSpec,
     TEMPLATE_IDS,
     draw_params,
     get_spec,
 )
+
+_CANONICAL = InstanceParams()
 
 
 @dataclass
@@ -61,6 +64,18 @@ class TemplateCatalog:
             raise WorkloadError(f"unknown template ids: {bad}")
         self.template_ids = list(self.template_ids)
         self._scan_seconds_cache: Dict[str, float] = {}
+        # template id -> (spec, config, schema, program): one lowered
+        # program per template, valid while all three are the objects it
+        # was lowered from (callers may reassign ``config``/``schema``).
+        self._programs: Dict[
+            int, Tuple[TemplateSpec, SystemConfig, Schema, TemplateProgram]
+        ] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Programs hold closures; a worker process re-lowers on first use.
+        state = self.__dict__.copy()
+        state["_programs"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # Plan and profile construction.
@@ -89,8 +104,29 @@ class TemplateCatalog:
         template_id: int,
         rng: Optional[np.random.Generator] = None,
     ) -> ResourceProfile:
-        """A compiled, executable instance of *template_id*."""
-        return compile_plan(self.plan(template_id, rng), self.config)
+        """A compiled, executable instance of *template_id*.
+
+        Replays the template's lowered program at this instance's jitter
+        (:meth:`TemplateSpec.lower`): the same phases as compiling
+        ``self.plan(template_id, rng)``, without building the tree.
+        """
+        params = draw_params(rng) if rng is not None else _CANONICAL
+        return self._program(template_id).replay(params)
+
+    def _program(self, template_id: int) -> TemplateProgram:
+        """The lowered program of *template_id*, lowering on first use."""
+        spec = self.spec(template_id)
+        cached = self._programs.get(template_id)
+        if (
+            cached is not None
+            and cached[0] is spec
+            and cached[1] is self.config
+            and cached[2] is self.schema
+        ):
+            return cached[3]
+        program = spec.lower(self.schema, self.config)
+        self._programs[template_id] = (spec, self.config, self.schema, program)
+        return program
 
     def canonical_plan(self, template_id: int) -> QueryPlan:
         """The jitter-free plan (used for semantic/QEP features)."""

@@ -12,7 +12,7 @@ sampling, Contender predictions) works on user queries unchanged.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..engine.operators import (
     BitmapHeapScan,
@@ -34,10 +34,11 @@ def _jitter_tree(node: PlanNode, params: InstanceParams) -> PlanNode:
     instance jitter — the same semantics the built-in template builders
     apply by hand.
     """
-    children = tuple(_jitter_tree(child, params) for child in node.children)
     replacements: Dict[str, object] = {}
-    if children != tuple(node.children):
-        replacements["children"] = children
+    if node.children:
+        replacements["children"] = tuple(
+            _jitter_tree(child, params) for child in node.children
+        )
     if isinstance(node, SeqScan):
         replacements["selectivity"] = params.sel(node.selectivity)
     elif isinstance(node, (IndexScan, BitmapHeapScan)):
@@ -58,8 +59,8 @@ def template_from_plan_text(
         template_id: Id for the new template; must not collide with the
             built-in workload.
         description: Human-readable summary.
-        plan_text: EXPLAIN-style plan (parsed per instance against the
-            catalog's schema, then jittered).
+        plan_text: EXPLAIN-style plan (parsed once per schema, then
+            jittered per instance).
         category: Behavioural label.
 
     Raises:
@@ -70,9 +71,15 @@ def template_from_plan_text(
             f"template id {template_id} collides with the built-in workload"
         )
 
+    # The last (schema, parsed root): catalogs build a template a few
+    # times while lowering it, and never per instance.
+    parsed: List[Tuple[Schema, PlanNode]] = []
+
     def build(schema: Schema, params: InstanceParams) -> PlanNode:
-        plan = parse_plan(plan_text, schema, template_id=template_id)
-        return _jitter_tree(plan.root, params)
+        if not parsed or parsed[0][0] is not schema:
+            root = parse_plan(plan_text, schema, template_id=template_id).root
+            parsed[:] = [(schema, root)]
+        return _jitter_tree(parsed[0][1], params)
 
     return TemplateSpec(
         template_id=template_id,

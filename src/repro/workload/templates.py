@@ -19,10 +19,11 @@ the ~6 % standard deviation the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..config import SystemConfig
 from ..engine.operators import (
     Aggregate,
     BitmapHeapScan,
@@ -36,6 +37,7 @@ from ..engine.operators import (
     WindowAgg,
 )
 from ..engine.plans import QueryPlan
+from ..engine.profile import Phase, PlanProgram, ResourceProfile, lower_plan
 from ..errors import WorkloadError
 from .schema import Schema
 
@@ -76,6 +78,78 @@ def draw_params(rng: np.random.Generator) -> InstanceParams:
 
 Builder = Callable[[Schema, InstanceParams], PlanNode]
 
+#: Jitters a lowered template is checked at: the canonical instance, two
+#: ordinary draws, and the extremes that engage every clamp (at 1e-12
+#: selectivities floor at 1e-9, row counts at 1 and CPU factors at 0.01;
+#: at 1e12 selectivities cap at 1).
+CHECK_JITTERS = (1.0, 0.8, 1.25, 1e-12, 1e12)
+
+
+class _Jittered(float):
+    """A jitter-dependent parameter value that remembers its call."""
+
+    __slots__ = ("call",)
+
+
+@dataclass(frozen=True)
+class _RecordingParams(InstanceParams):
+    """Canonical parameters whose jitter-dependent results are tagged.
+
+    A result carries ``(InstanceParams method, base)`` when that call's
+    value changes at some :data:`CHECK_JITTERS` jitter.  Arithmetic on a
+    result yields a plain float, so a field computed *from* a jittered
+    value is not mistaken for one.
+    """
+
+    def sel(self, base: float) -> float:
+        return self._record(InstanceParams.sel, base)
+
+    def rows(self, base: float) -> float:
+        return self._record(InstanceParams.rows, base)
+
+    def cpu(self, base: float) -> float:
+        return self._record(InstanceParams.cpu, base)
+
+    def _record(
+        self, method: Callable[[InstanceParams, float], float], base: float
+    ) -> float:
+        value = method(self, base)
+        if all(method(InstanceParams(j), base) == value for j in CHECK_JITTERS):
+            return value
+        tagged = _Jittered(value)
+        tagged.call = (method, base)
+        return tagged
+
+
+class TemplateProgram:
+    """A template lowered once (:meth:`TemplateSpec.lower`).
+
+    Replaying it at an instance's :class:`InstanceParams` gives exactly
+    the phases of building that instance's plan and compiling it.
+    """
+
+    __slots__ = ("program", "calls")
+
+    def __init__(
+        self,
+        program: PlanProgram,
+        calls: Sequence[Tuple[Callable[[InstanceParams, float], float], float]],
+    ) -> None:
+        self.program = program
+        #: ``(InstanceParams method, base)`` per input slot.
+        self.calls = tuple(calls)
+
+    def phases(self, params: InstanceParams) -> List[Phase]:
+        """The phases of the instance with *params*."""
+        return self.program.phases(self._values(params))
+
+    def replay(self, params: InstanceParams) -> ResourceProfile:
+        """A new profile instance with *params*."""
+        return self.program.run(self._values(params))
+
+    def _values(self, params: InstanceParams) -> List[float]:
+        return [call(params, base) for call, base in self.calls]
+
 
 @dataclass(frozen=True)
 class TemplateSpec:
@@ -98,6 +172,50 @@ class TemplateSpec:
         """Build a plan instance (default parameters when none given)."""
         params = params if params is not None else InstanceParams()
         return QueryPlan(template_id=self.template_id, root=self.build(schema, params))
+
+    def lower(self, schema: Schema, config: SystemConfig) -> TemplateProgram:
+        """Lower this template once into a replayable program.
+
+        The builder runs once with recording parameters; every node field
+        holding an unmodified ``params.sel/rows/cpu(base)`` result becomes
+        a program input.  The jitter contract — instances differ only in
+        such fields, and never in whether a demand is zero — is then
+        checked: the program must reproduce a fresh build plus compile at
+        every :data:`CHECK_JITTERS` jitter.
+
+        Raises:
+            WorkloadError: Naming the template, when the builder breaks
+                the contract (arithmetic on a jittered value, branching on
+                ``params.jitter``) or fails at a checked jitter.
+        """
+        plan = self.plan(schema, _RecordingParams())
+        calls: List[Tuple[Callable[[InstanceParams, float], float], float]] = []
+        inputs: Dict[Tuple[int, str], int] = {}
+        for index, node in enumerate(plan.nodes()):
+            for name in node.MODEL_FIELDS:
+                value = getattr(node, name)
+                if isinstance(value, _Jittered):
+                    if value.call not in calls:
+                        calls.append(value.call)
+                    inputs[index, name] = calls.index(value.call)
+        lowered = TemplateProgram(lower_plan(plan, config, inputs), calls)
+        for jitter in CHECK_JITTERS:
+            params = InstanceParams(jitter)
+            try:
+                expected = lower_plan(self.plan(schema, params), config).phases()
+                matches = lowered.phases(params) == expected
+            except WorkloadError as exc:
+                raise WorkloadError(
+                    f"template {self.template_id}: no valid instance at "
+                    f"jitter {jitter!r}: {exc}"
+                ) from exc
+            if not matches:
+                raise WorkloadError(
+                    f"template {self.template_id}: instances must differ only "
+                    f"in fields set to unmodified params.sel/rows/cpu values "
+                    f"(a fresh build at jitter {jitter!r} does not match)"
+                )
+        return lowered
 
 
 # ----------------------------------------------------------------------

@@ -134,3 +134,10 @@ def test_round_trip_with_describe(schema):
     rendered = plan.describe()
     assert "SeqScan:catalog_sales" in rendered
     assert rendered.splitlines()[0].startswith("HashAggregate")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "infinity"])
+def test_non_finite_values_rejected_with_line_number(schema, value):
+    text = f"HashAggregate (groups=10)\n  IndexScan store_sales (rows={value})\n"
+    with pytest.raises(WorkloadError, match="line 2: non-finite"):
+        parse_plan(text, schema)

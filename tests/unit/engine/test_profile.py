@@ -1,5 +1,8 @@
 """Plan-to-profile compilation tests."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.config import DEFAULT_CONFIG, SimulationConfig, SystemConfig
@@ -11,10 +14,13 @@ from repro.engine.profile import (
     compile_plan,
     reader_profile,
     scan_profile,
+    startup_phase,
 )
 from repro.engine.relation import Relation, RelationKind
 from repro.errors import WorkloadError
 from repro.units import GB, MB
+from repro.workload.templates import TEMPLATE_IDS, InstanceParams, draw_params
+from tests.reference_compile import phase_bits, reference_compile
 
 
 @pytest.fixture()
@@ -101,6 +107,16 @@ def test_with_startup_prepends_cpu_phase(fact, dim):
     assert with_cost.instance_id != profile.instance_id
 
 
+def test_with_startup_takes_a_prebuilt_phase(fact, dim):
+    profile = compile_plan(_plan(fact, dim), DEFAULT_CONFIG)
+    startup = startup_phase(2.5)
+    first = profile.with_startup(startup)
+    second = profile.with_startup(startup)
+    assert first.phases[0] is startup and second.phases[0] is startup
+    assert first.phases == profile.with_startup(2.5).phases
+    assert len({profile.instance_id, first.instance_id, second.instance_id}) == 3
+
+
 def test_with_startup_zero_is_identity(fact, dim):
     profile = compile_plan(_plan(fact, dim), DEFAULT_CONFIG)
     assert profile.with_startup(0.0) is profile
@@ -126,6 +142,41 @@ def test_reader_profile_rejects_nonpositive():
 def test_phase_rejects_negative_demand():
     with pytest.raises(WorkloadError):
         Phase(label="bad", seq_bytes=-1)
+
+
+@pytest.mark.parametrize(
+    "field", ["seq_bytes", "rand_ops", "cpu_seconds", "mem_bytes"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_phase_rejects_non_finite_demand(field, value):
+    with pytest.raises(WorkloadError):
+        Phase(label="bad", **{field: value})
+
+
+def test_phase_is_immutable_and_revalidates_on_replace():
+    phase = Phase(label="p", cpu_seconds=1.0)
+    with pytest.raises(AttributeError):
+        phase.cpu_seconds = 2.0
+    assert phase._replace(cpu_seconds=2.0).cpu_seconds == 2.0
+    with pytest.raises(WorkloadError):
+        phase._replace(cpu_seconds=math.nan)
+
+
+#: The fast-tier pin: canonical, every clamp engaged (1e-12: sel, rows
+#: and cpu floors; 1e12: the selectivity cap), and three seeded draws.
+PIN_JITTERS = (1.0, 1e-12, 1e12) + tuple(
+    draw_params(np.random.default_rng(seed)).jitter for seed in (5, 6, 7)
+)
+
+
+@pytest.mark.parametrize("template_id", TEMPLATE_IDS)
+def test_lowered_templates_match_reference_compiler(catalog, template_id):
+    spec = catalog.spec(template_id)
+    program = spec.lower(catalog.schema, catalog.config)
+    for jitter in PIN_JITTERS:
+        params = InstanceParams(jitter)
+        expected = reference_compile(spec.plan(catalog.schema, params), catalog.config)
+        assert phase_bits(program.phases(params)) == phase_bits(expected), jitter
 
 
 def test_profile_instance_ids_are_unique(fact):
