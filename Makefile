@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test test-fast coverage serve-smoke serve-bench lifecycle-smoke sched-smoke eval-smoke explain-smoke bench bench-check profile-campaign profile-campaign-batched report templates examples clean
+.PHONY: install test test-fast coverage serve-smoke serve-bench lifecycle-smoke sched-smoke eval-smoke explain-smoke bench bench-check profile-campaign report templates examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -57,9 +57,6 @@ bench-check:
 
 profile-campaign:
 	$(PYTHON) scripts/profile_campaign.py
-
-profile-campaign-batched:
-	$(PYTHON) scripts/profile_campaign.py --batched
 
 report:
 	$(PYTHON) -m repro.experiments.report > EXPERIMENTS.md

@@ -92,7 +92,7 @@ def test_perf_plan_compile(benchmark, catalog):
 from dataclasses import dataclass
 from typing import List
 
-from repro.config import SimulationConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.engine.executor import ConcurrentExecutor
 from repro.engine.profile import ResourceProfile
 
@@ -123,7 +123,7 @@ def engine_workloads(catalog):
 
 
 def _run_engine_workload(per_stream, metrics=None):
-    config = SystemConfig(simulation=SimulationConfig(engine="virtual_time"))
+    config = SystemConfig()
     executor = ConcurrentExecutor(
         config, rng=np.random.default_rng(1), metrics=metrics
     )

@@ -2,10 +2,9 @@
 """Benchmark regression gate: compare hot-path throughput to a baseline.
 
 Measures the metrics that PRs most easily regress by accident — engine
-events/sec (both engines, so the virtual-time speedup itself is guarded)
-and the end-to-end serial campaign wall-clock — and compares them to the
-committed ``BENCH_baseline.json``.  Any metric more than 20% worse than
-baseline fails the check.
+events/sec at MPL 4 and 8 and the end-to-end serial campaign wall-clock
+— and compares them to the committed ``BENCH_baseline.json``.  Any
+metric more than 20% worse than baseline fails the check.
 
 Workflow:
 
@@ -32,7 +31,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 import numpy as np
 
-from repro.config import SimulationConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.core.training import collect_training_data
 from repro.engine.executor import ConcurrentExecutor
 from repro.engine.profile import ResourceProfile
@@ -70,7 +69,7 @@ def _events_per_sec(per_stream, repeats: int = 15) -> float:
     """Virtual-time engine events/sec on pre-generated profiles."""
     # Individual runs are a few milliseconds, so scheduler noise swamps
     # any single timing; take the best of many (first run is warmup).
-    config = SystemConfig(simulation=SimulationConfig(engine="virtual_time"))
+    config = SystemConfig()
     best = float("inf")
     events = 0
     for i in range(repeats + 1):
@@ -86,127 +85,6 @@ def _events_per_sec(per_stream, repeats: int = 15) -> float:
             best = min(best, elapsed)
         events = result.events
     return events / best
-
-
-def _batched_metrics(batch: int = 2048, mpl: int = 8) -> Dict[str, float]:
-    """Batched-engine throughput on a spoiler-style campaign workload.
-
-    The workload is the campaign's hot shape: one single-shot primary
-    against ``mpl - 1`` background readers.  The scalar side runs a few
-    representative runs through one :class:`ConcurrentExecutor` each;
-    the batched side advances *batch* such runs in lockstep, and both
-    normalize to events/sec, so the ratio is the per-run speedup of
-    feeding the campaign through ``run_batch``.
-    """
-    from repro.engine.batched import RunSpec, run_batch
-    from repro.engine.executor import SingleShotStream
-    from repro.engine.spoiler import Spoiler
-
-    catalog = TemplateCatalog()
-    config_vt = SystemConfig(simulation=SimulationConfig(engine="virtual_time"))
-    config_bt = SystemConfig(simulation=SimulationConfig(engine="batched"))
-    ids = catalog.template_ids[:8]
-    spoiler = Spoiler(mpl=mpl, ram_bytes=config_vt.hardware.ram_bytes)
-    readers = spoiler.readers()
-    profiles = {
-        t: catalog.profile(t, np.random.default_rng(j))
-        for j, t in enumerate(ids)
-    }
-
-    specs = [
-        RunSpec(
-            streams=[
-                SingleShotStream(profiles[ids[k % len(ids)]], name="primary")
-            ],
-            background=readers,
-            pinned_bytes=spoiler.pinned_bytes,
-            rng=np.random.default_rng(k % len(ids)),
-        )
-        for k in range(batch)
-    ]
-    # Scalar and batched timings are interleaved per round and the
-    # speedup taken as the best per-round ratio: a machine-load spike
-    # then skews one round's ratio, not the scalar numerator of one
-    # measurement against the batched denominator of another.
-    best_eps = 0.0
-    best_ratio = 0.0
-    for i in range(7):
-        start = time.perf_counter()
-        events_vt = 0
-        for j, t in enumerate(ids):
-            executor = ConcurrentExecutor(
-                config_vt, rng=np.random.default_rng(j)
-            )
-            result = executor.run(
-                streams=[SingleShotStream(profiles[t], name="primary")],
-                background=spoiler.readers(),
-                pinned_bytes=spoiler.pinned_bytes,
-            )
-            events_vt += result.events
-        scalar_eps = events_vt / (time.perf_counter() - start)
-        start = time.perf_counter()
-        results = run_batch(config_bt, specs)
-        batched_eps = sum(r.events for r in results) / (
-            time.perf_counter() - start
-        )
-        if i == 0:  # warmup round
-            continue
-        best_eps = max(best_eps, batched_eps)
-        best_ratio = max(best_ratio, batched_eps / scalar_eps)
-    return {
-        "events_per_sec": best_eps,
-        "speedup": best_ratio,
-    }
-
-
-def _campaign_batched_speedup(batch: int = 256) -> float:
-    """End-to-end chunk speedup: batched campaign execution vs the
-    scalar per-task loop, on a full spoiler sweep (every template at
-    MPLs 1-8).  Also cross-checks that both paths return identical
-    results — the batched engine's contract."""
-    from repro.config import CampaignConfig
-    from repro.core.training import (
-        _CampaignContext,
-        _execute_campaign_chunk,
-        _execute_campaign_task,
-    )
-
-    ids = tuple(TemplateCatalog().template_ids)
-    tasks = [("spoiler", t, m) for t in ids for m in range(1, 9)]
-
-    def context(engine: str) -> "_CampaignContext":
-        config = SystemConfig(
-            simulation=SimulationConfig(engine=engine),
-            campaign=CampaignConfig(jobs=1, batch_size=batch),
-        )
-        return _CampaignContext(
-            catalog=TemplateCatalog(config=config).subset(ids),
-            steady=SteadyStateConfig(),
-            config_seed=config.simulation.seed,
-            batch_size=batch,
-        )
-
-    scalar_ctx = context("virtual_time")
-    best_scalar = float("inf")
-    reference = None
-    for i in range(4):
-        start = time.perf_counter()
-        reference = [_execute_campaign_task(scalar_ctx, t) for t in tasks]
-        if i > 0:
-            best_scalar = min(best_scalar, time.perf_counter() - start)
-
-    batched_ctx = context("batched")
-    best_batched = float("inf")
-    for i in range(4):
-        start = time.perf_counter()
-        results = _execute_campaign_chunk(batched_ctx, tasks)
-        if i > 0:
-            best_batched = min(best_batched, time.perf_counter() - start)
-    if results != reference:
-        raise AssertionError(
-            "batched campaign chunk diverged from the scalar task loop"
-        )
-    return best_scalar / best_batched
 
 
 def _campaign_seconds(repeats: int = 3) -> float:
@@ -340,7 +218,6 @@ def measure() -> Dict[str, Dict[str, object]]:
     mpl8 = _engine_workload(catalog, 8)
     sched = _sched_metrics()
     evals = _eval_metrics()
-    batched = _batched_metrics()
     serving = _serving_throughput_metrics()
     metrics = {
         "engine_virtual_time_events_per_sec_mpl4": {
@@ -352,34 +229,6 @@ def measure() -> Dict[str, Dict[str, object]]:
             "value": _events_per_sec(mpl8),
             "unit": "events/sec",
             "higher_is_better": True,
-        },
-        # The batched engine's reason to exist: lockstep advancement of
-        # many independent campaign runs.  The floor is absolute — on
-        # any machine, batching spoiler-style runs must stay at least
-        # 5x faster per run than the scalar virtual-time loop.
-        "engine_batched_events_per_sec": {
-            "value": batched["events_per_sec"],
-            "unit": "events/sec",
-            "higher_is_better": True,
-        },
-        "engine_batched_speedup": {
-            "value": batched["speedup"],
-            "unit": "x",
-            "higher_is_better": True,
-            "min_value": 5.0,
-        },
-        # End-to-end campaign chunk: includes the per-task plumbing and
-        # the canonical-profile cache, so the ratio is what campaign
-        # callers actually see on a spoiler sweep.  Amdahl holds it
-        # below the pure-engine ratio (plan compilation and result
-        # collection don't batch), and machine load moves the measured
-        # value between ~1.45x and ~1.65x — the floor sits below that
-        # band so the gate asserts the win without flaking.
-        "campaign_batched_speedup": {
-            "value": _campaign_batched_speedup(),
-            "unit": "x",
-            "higher_is_better": True,
-            "min_value": 1.2,
         },
         "campaign_small_serial_seconds": {
             "value": _campaign_seconds(),
@@ -488,7 +337,7 @@ def _instrumentation_overhead(per_stream, repeats: int = 20) -> float:
     # which would charge (or credit) the difference to instrumentation.
     # Alternating run-for-run samples both variants under the same
     # conditions, and best-of-N still converges to each true floor.
-    config = SystemConfig(simulation=SimulationConfig(engine="virtual_time"))
+    config = SystemConfig()
     best_plain = best_instr = float("inf")
     for i in range(repeats + 1):
         for instrumented in (False, True):
@@ -541,7 +390,7 @@ def _attribution_overhead(
     # the virtual-time engine.
     from repro.explain import ExplainRecorder
 
-    config = SystemConfig(simulation=SimulationConfig(engine="virtual_time"))
+    config = SystemConfig()
     ratio = float("inf")
     for _ in range(rounds):
         best_plain = best_attr = float("inf")

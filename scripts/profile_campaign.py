@@ -6,13 +6,7 @@ the profile rather than pool plumbing) under cProfile and prints the
 top entries by cumulative time.  Use it before and after touching the
 executor or the sampling layers to see where the time went:
 
-    make profile-campaign           # scalar virtual-time engine
-    make profile-campaign-batched   # lockstep batched engine
-
-With ``--batched`` the campaign runs through the batched engine
-(``engine="batched"``, tasks grouped into lockstep batches), so the
-profile shows the array-side cost centres — ``run_batch``, the
-transition waves — instead of the scalar event loop.
+    make profile-campaign
 """
 
 import argparse
@@ -26,7 +20,7 @@ try:
 except ModuleNotFoundError:  # a checkout without `make install`
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.config import CampaignConfig, SimulationConfig, SystemConfig
+from repro.config import CampaignConfig, SystemConfig
 from repro.core.training import collect_training_data
 from repro.sampling.steady_state import SteadyStateConfig
 from repro.workload.catalog import TemplateCatalog
@@ -36,25 +30,8 @@ TOP_N = 20
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--batched",
-        action="store_true",
-        help="run the campaign through the batched lockstep engine",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=64,
-        help="tasks per lockstep batch (batched mode only)",
-    )
-    args = parser.parse_args()
-
-    engine = "batched" if args.batched else "virtual_time"
-    config = SystemConfig(
-        simulation=SimulationConfig(engine=engine),
-        campaign=CampaignConfig(jobs=1, batch_size=args.batch_size),
-    )
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    config = SystemConfig(campaign=CampaignConfig(jobs=1))
     catalog = TemplateCatalog(config=config).subset(SMALL_TEMPLATES)
     profiler = cProfile.Profile()
     profiler.enable()
@@ -70,7 +47,7 @@ def main() -> int:
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats("cumulative").print_stats(TOP_N)
     print(
-        f"campaign ({engine}): {len(data.profiles)} templates, "
+        f"campaign: {len(data.profiles)} templates, "
         f"{sum(len(v) for v in data.observations.values())} observations"
     )
     return 0

@@ -139,13 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed", type=int, default=None, help="campaign seed override"
     )
-    p.add_argument(
-        "--engine",
-        choices=("virtual_time", "batched"),
-        default=None,
-        help="simulation engine; 'batched' groups runs into lockstep "
-        "batches with bit-identical results, faster campaigns",
-    )
 
     p = sub.add_parser("predict", help="predict a known template in a mix")
     p.add_argument("data", type=Path)
@@ -426,13 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="scheduler objective scored against ground truth",
         )
         ep.add_argument(
-            "--engine",
-            choices=("virtual_time", "batched"),
-            default=None,
-            help="simulation engine for ground truth (and the "
-            "in-process campaign)",
-        )
-        ep.add_argument(
             "--jobs",
             type=int,
             default=None,
@@ -567,20 +553,9 @@ def _cmd_spoiler(args: argparse.Namespace) -> int:
     return 0
 
 
-def _engine_catalog(engine: Optional[str]) -> TemplateCatalog:
-    """The full template catalog, simulated by *engine* (None: default)."""
-    if not engine:
-        return TemplateCatalog()
-    from .config import SimulationConfig, SystemConfig
-
-    return TemplateCatalog(
-        config=SystemConfig(simulation=SimulationConfig(engine=engine))
-    )
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     mpls = tuple(int(m) for m in args.mpls.split(","))
-    catalog = _engine_catalog(args.engine)
+    catalog = TemplateCatalog()
     print(f"collecting campaign for MPLs {mpls} (LHS runs: {args.lhs_runs})...")
     data = collect_training_data(
         catalog,
@@ -1055,14 +1030,11 @@ def _cmd_lifecycle_rollback(args: argparse.Namespace) -> int:
 _SCHED_TEMPLATES = (22, 26, 32, 62, 65, 71, 82)
 
 
-def _campaign_setup(
-    args: argparse.Namespace, max_mpl: int, engine: Optional[str] = None
-):
+def _campaign_setup(args: argparse.Namespace, max_mpl: int):
     """Catalog, training data, and template ids for a sched/eval command.
 
     Loads the ``--data`` campaign pickle, or collects a small campaign
-    over MPLs 2..*max_mpl* in-process.  *engine* selects the simulation
-    engine of the catalog (and so of the in-process campaign).
+    over MPLs 2..*max_mpl* in-process.
     """
     from .sampling.steady_state import SteadyStateConfig
 
@@ -1073,7 +1045,7 @@ def _campaign_setup(
         template_ids = tuple(sorted(data.template_ids))
     else:
         template_ids = _SCHED_TEMPLATES
-    catalog = _engine_catalog(engine).subset(template_ids)
+    catalog = TemplateCatalog().subset(template_ids)
     if data is None:
         print(
             f"collecting in-process campaign over {len(template_ids)} "
@@ -1208,7 +1180,7 @@ def _eval_run_matrix(args: argparse.Namespace, backend_names):
     from .sampling.steady_state import SteadyStateConfig
 
     mpls = _eval_matrix_mpls(args)
-    catalog, data, _ = _campaign_setup(args, max(mpls), engine=args.engine)
+    catalog, data, _ = _campaign_setup(args, max(mpls))
     backends = named_backends(data, backend_names)
     matrix = default_matrix(mpls=mpls, window=args.window, sets=args.sets)
     return run_matrix(

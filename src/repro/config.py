@@ -87,16 +87,6 @@ class SimulationConfig:
             single run exceeds this many events.
         seed: Base RNG seed for all stochastic components (parameter jitter,
             random-I/O variance).
-        engine: Event-loop implementation.  ``'virtual_time'`` (default)
-            schedules via cumulative-service accounting — per-resource
-            drain deadlines computed once per phase and advanced through
-            sorted deadline heaps, O(log n) per event.  ``'batched'``
-            selects the lockstep numpy engine
-            (:mod:`repro.engine.batched`): single runs execute as a
-            batch of one, and campaigns group tasks into wide batches.
-            It mirrors the virtual-time arithmetic bit-for-bit; runs
-            with a tracer or a blame recorder attached fall back to the
-            scalar loop.
     """
 
     shared_scans: bool = True
@@ -109,7 +99,6 @@ class SimulationConfig:
     time_epsilon: float = 1e-9
     max_events: int = 2_000_000
     seed: int = 20140324  # EDBT 2014 opening day.
-    engine: str = "virtual_time"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.scan_share_window <= 1.0:
@@ -126,11 +115,6 @@ class SimulationConfig:
             raise ConfigurationError("time_epsilon must be positive")
         if self.max_events < 1:
             raise ConfigurationError("max_events must be >= 1")
-        if self.engine not in ("virtual_time", "batched"):
-            raise ConfigurationError(
-                "engine must be 'virtual_time' or 'batched', "
-                f"got {self.engine!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -146,17 +130,10 @@ class CampaignConfig:
             everything in-process (no pool); 0 means one worker per core.
         chunk_size: Tasks per worker submission; 0 sizes chunks
             automatically from the task count and worker count.
-        batch_size: How many compatible campaign tasks the batched
-            engine advances in lockstep per :func:`repro.engine.batched.
-            run_batch` call (within each worker chunk, so jobs x batch
-            compose).  0 or 1 disables batching.  Like ``jobs``, the
-            value never changes results — batched columns are fully
-            independent — only throughput.
     """
 
     jobs: int = 1
     chunk_size: int = 0
-    batch_size: int = 64
 
     def __post_init__(self) -> None:
         if self.jobs < 0:
@@ -164,10 +141,6 @@ class CampaignConfig:
         if self.chunk_size < 0:
             raise ConfigurationError(
                 f"chunk_size must be >= 0, got {self.chunk_size}"
-            )
-        if self.batch_size < 0:
-            raise ConfigurationError(
-                f"batch_size must be >= 0, got {self.batch_size}"
             )
 
 

@@ -117,12 +117,9 @@ def _run_chunk(index: int, items: Sequence[Any]) -> tuple:
     cannot share the parent's metric registry, so per-task wall times
     ride back with the results and the parent merges them; *durations*
     is ``None`` when the campaign runs unobserved (timing calls cost a
-    syscall each, so they are opt-in).  Chunk-level functions own their
-    internal scheduling, so they never report per-task durations.
+    syscall each, so they are opt-in).
     """
-    fn, context, timed, chunked = _WORKER_STATE  # type: ignore[misc]
-    if chunked:
-        return index, fn(context, items), os.getpid(), None
+    fn, context, timed = _WORKER_STATE  # type: ignore[misc]
     if not timed:
         return index, [fn(context, item) for item in items], os.getpid(), None
     results = []
@@ -188,7 +185,6 @@ def parallel_map(
     chunk_size: int = 0,
     metrics: Optional[Registry] = None,
     task_label: Optional[Callable[[T], str]] = None,
-    chunked: bool = False,
 ) -> List[R]:
     """``[fn(context, item) for item in items]``, optionally over processes.
 
@@ -211,14 +207,6 @@ def parallel_map(
         task_label: Maps an item to its metric ``kind`` label; only
             called in the parent process, so closures are fine.  Items
             label as ``"task"`` when omitted.
-        chunked: When True, *fn* is a chunk-level function called as
-            ``fn(context, chunk)`` returning one result per item of the
-            chunk (in order).  This lets the callee amortize work across
-            a whole chunk — the batched simulation engine runs a chunk's
-            tasks in lockstep instead of one at a time.  Per-task wall
-            times are not recorded in this mode (the callee interleaves
-            tasks, so per-task timing is not well defined); task counts
-            and chunk metrics still are.
 
     Returns:
         Results in the order of *items*, regardless of completion order.
@@ -233,15 +221,6 @@ def parallel_map(
     label_of = task_label if task_label is not None else (lambda item: "task")
 
     if jobs <= 1 or len(items) <= 1:
-        if chunked:
-            out = list(fn(context, items)) if items else []
-            if instr is not None:
-                instr.workers.set(1)
-                instr.chunks.inc()
-                instr.worker_tasks.labels(os.getpid()).inc(len(items))
-                for item in items:
-                    instr.tasks.labels(label_of(item)).inc()
-            return out
         if instr is None:
             return [fn(context, item) for item in items]
         instr.workers.set(1)
@@ -269,7 +248,7 @@ def parallel_map(
 
     try:
         payload = pickle.dumps(
-            (fn, context, instr is not None, chunked),
+            (fn, context, instr is not None),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
     except Exception as exc:

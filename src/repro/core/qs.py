@@ -12,6 +12,7 @@ when the concurrent queries need almost no I/O.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -43,6 +44,15 @@ class QSModel:
     intercept: float
     num_samples: int = 0
     residual_std: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("slope", "intercept", "residual_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ModelError(
+                    f"QS model for template {self.template_id} at MPL "
+                    f"{self.mpl}: {name} must be finite, "
+                    f"got {getattr(self, name)!r}"
+                )
 
     def predict_point(self, cqi: float) -> float:
         """Continuum point for a mix with the given CQI (Eq. 7)."""

@@ -25,24 +25,16 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..engine.batched import RunSpec, batched_campaign_ok, run_batch
-from ..engine.executor import RunResult, SingleShotStream
-from ..engine.profile import ResourceProfile
-from ..engine.spoiler import Spoiler, measure_spoiler_latency
+from ..engine.batched import run_batch  # bench/layers.py wraps this name
+from ..engine.spoiler import measure_spoiler_latency
 from ..engine.stats import QueryStats
 from ..errors import ModelError, SamplingError
 from ..obs.metrics import Registry
 from ..obs.tracing import NULL_TRACE, TraceRecorder
-from .campaign import parallel_map, resolve_jobs, task_rng
+from .campaign import parallel_map, task_rng
 from ..sampling.lhs import lhs_runs
 from ..sampling.mixes import all_pairs
-from ..sampling.steady_state import (
-    SteadyStateConfig,
-    SteadyStateResult,
-    mix_streams,
-    run_steady_state,
-    trimmed_samples,
-)
+from ..sampling.steady_state import SteadyStateConfig, run_steady_state
 from ..workload.catalog import TemplateCatalog
 
 Mix = Tuple[int, ...]
@@ -386,30 +378,6 @@ def measure_spoiler_curve(
     if seed is not None and rng is not None:
         raise SamplingError("pass either rng or seed, not both")
 
-    if seed is not None and batched_campaign_ok(catalog.config):
-        # Every MPL owns a fresh task-keyed generator, so the curve's
-        # points are independent runs — exactly what the lockstep batch
-        # needs.  (The legacy rng path shares one generator across MPLs
-        # and must stay sequential.)
-        profile = catalog.profile(template_id)
-        specs = []
-        for mpl in mpls:
-            spoiler = Spoiler(mpl=mpl, ram_bytes=catalog.config.hardware.ram_bytes)
-            specs.append(
-                RunSpec(
-                    streams=[SingleShotStream(profile, name="primary")],
-                    background=spoiler.readers(),
-                    pinned_bytes=spoiler.pinned_bytes,
-                    rng=task_rng(seed, "spoiler", key=template_id),
-                )
-            )
-        results = run_batch(catalog.config, specs)
-        latencies = {
-            mpl: res.completions[0].stats.latency
-            for mpl, res in zip(mpls, results)
-        }
-        return SpoilerCurve(template_id=template_id, latencies=latencies)
-
     def _rng_for(mpl: int) -> Optional[np.random.Generator]:
         if seed is None:
             return rng
@@ -439,11 +407,16 @@ class _CampaignContext:
     catalog: TemplateCatalog
     steady: SteadyStateConfig
     config_seed: int
-    batch_size: int = 64
 
 
-def _reduce_mix(mix: Mix, result: SteadyStateResult) -> List[MixObservation]:
-    """Reduce one steady-state result to per-primary observations."""
+def _observe_mix(
+    catalog: TemplateCatalog,
+    mix: Mix,
+    steady: SteadyStateConfig,
+    rng: np.random.Generator,
+) -> List[MixObservation]:
+    """Run one steady-state mix and reduce it to per-primary observations."""
+    result = run_steady_state(catalog, mix, config=steady, rng=rng)
     observations: List[MixObservation] = []
     for primary in sorted(set(mix)):
         lats = [s.latency for s in result.samples_for(primary)]
@@ -459,22 +432,11 @@ def _reduce_mix(mix: Mix, result: SteadyStateResult) -> List[MixObservation]:
     return observations
 
 
-def _observe_mix(
-    catalog: TemplateCatalog,
-    mix: Mix,
-    steady: SteadyStateConfig,
-    rng: np.random.Generator,
-) -> List[MixObservation]:
-    """Run one steady-state mix and reduce it to per-primary observations."""
-    result = run_steady_state(catalog, mix, config=steady, rng=rng)
-    return _reduce_mix(mix, result)
-
-
 def _execute_campaign_task(context: _CampaignContext, task: CampaignTask):
     """Execute one campaign task (module-level: runs in worker processes).
 
     Each task derives its RNG purely from its own identity, so the result
-    is independent of scheduling, batching, and every other task.
+    is independent of scheduling, chunking, and every other task.
     """
     kind, key, mpl = task
     if kind == "profile":
@@ -492,115 +454,6 @@ def _execute_campaign_task(context: _CampaignContext, task: CampaignTask):
         rng = task_rng(context.config_seed, "mix", key=key, mpl=mpl)
         return _observe_mix(context.catalog, key, context.steady, rng)
     raise SamplingError(f"unknown campaign task kind: {kind!r}")
-
-
-def _campaign_run_spec(
-    context: _CampaignContext,
-    task: CampaignTask,
-    readers: Dict[int, List[ResourceProfile]],
-    canonical: Dict[int, ResourceProfile],
-):
-    """Compile one campaign task to a :class:`RunSpec` plus a collector.
-
-    The spec reproduces exactly what :func:`_execute_campaign_task`
-    would simulate — same streams, same background load, same task-keyed
-    generator — and the collector turns the finished :class:`RunResult`
-    into that task's result value.  *readers* caches spoiler reader
-    profiles per MPL and *canonical* caches canonical template instances
-    per template id: both are deterministic and hold no cross-run state
-    in the batched engine (per-run, per-slot arrays), so specs can share
-    them freely.  The scalar task path compiles a fresh profile per
-    task; batching amortizes that compile across the chunk — one of the
-    throughput wins batching buys, with no effect on any result.
-    """
-    kind, key, mpl = task
-    catalog = context.catalog
-    if kind == "profile" or kind == "spoiler":
-        profile = canonical.get(key)
-        if profile is None:
-            profile = canonical[key] = catalog.profile(key)
-    if kind == "profile":
-        # Mirrors catalog.run_isolated: canonical instance, default
-        # executor generator (an isolated run draws nothing from it).
-        spec = RunSpec(
-            streams=[SingleShotStream(profile, name="isolated")],
-            rng=np.random.default_rng(catalog.config.simulation.seed),
-        )
-
-        def collect_profile(result: RunResult):
-            return _template_profile_from_stats(
-                catalog, key, [result.completions[0].stats]
-            )
-
-        return spec, collect_profile
-    if kind == "spoiler":
-        spoiler = Spoiler(mpl=mpl, ram_bytes=catalog.config.hardware.ram_bytes)
-        background = readers.get(mpl)
-        if background is None:
-            background = readers[mpl] = spoiler.readers()
-        spec = RunSpec(
-            streams=[SingleShotStream(profile, name="primary")],
-            background=background,
-            pinned_bytes=spoiler.pinned_bytes,
-            # Keyed per template, not per MPL (see measure_spoiler_curve).
-            rng=task_rng(context.config_seed, "spoiler", key=key),
-        )
-        return spec, lambda result: result.completions[0].stats.latency
-    if kind == "mix":
-        rng = task_rng(context.config_seed, "mix", key=key, mpl=mpl)
-        streams = mix_streams(catalog, key, context.steady, rng)
-        spec = RunSpec(streams=streams, rng=rng)
-
-        def collect_mix(result: RunResult):
-            samples = trimmed_samples(streams, context.steady, result)
-            return _reduce_mix(
-                key, SteadyStateResult(mix=tuple(key), samples=samples, run=result)
-            )
-
-        return spec, collect_mix
-    raise SamplingError(f"unknown campaign task kind: {kind!r}")
-
-
-def _execute_campaign_chunk(
-    context: _CampaignContext,
-    tasks: Sequence[CampaignTask],
-    metrics: Optional[Registry] = None,
-) -> List[object]:
-    """Execute a chunk of campaign tasks through the batched engine.
-
-    Tasks are compiled to independent :class:`RunSpec`\\ s and advanced
-    in lockstep, ``context.batch_size`` runs at a time.  Every spec owns
-    a task-keyed generator and batch columns never interact, so results
-    are bit-identical to :func:`_execute_campaign_task` — regardless of
-    chunk boundaries, batch size, worker count, or the duration grouping
-    below.
-
-    Tasks are grouped by ``(kind, mpl)`` before slicing into batches: a
-    lockstep batch advances until its *longest* member finishes, so
-    mixing a 40-event isolated profile with a multi-thousand-event mix
-    would leave most columns dead for most iterations.  Grouping keeps
-    batch members similar in length (and lets spoiler batches share one
-    reader set), which is where the engine's throughput lives.
-    """
-    order = sorted(
-        range(len(tasks)), key=lambda i: (tasks[i][0], tasks[i][2])
-    )
-    readers: Dict[int, List[ResourceProfile]] = {}
-    canonical: Dict[int, ResourceProfile] = {}
-    specs: List[RunSpec] = []
-    collectors = []
-    for i in order:
-        spec, collect = _campaign_run_spec(context, tasks[i], readers, canonical)
-        specs.append(spec)
-        collectors.append(collect)
-    config = context.catalog.config
-    step = max(1, int(context.batch_size))
-    out: List[object] = [None] * len(tasks)
-    for lo in range(0, len(specs), step):
-        results = run_batch(config, specs[lo : lo + step], metrics=metrics)
-        for off, result in enumerate(results):
-            out[order[lo + off]] = collectors[lo + off](result)
-    return out
 
 
 def collect_training_data(
@@ -705,45 +558,20 @@ def collect_training_data(
         ).set(len(tasks))
 
     context = _CampaignContext(
-        catalog=catalog,
-        steady=steady,
-        config_seed=config_seed,
-        batch_size=catalog.config.campaign.batch_size,
+        catalog=catalog, steady=steady, config_seed=config_seed
     )
     with trace.span(
         "campaign.execute", key=("execute", config_seed), tasks=len(tasks)
     ):
-        if batched_campaign_ok(catalog.config):
-            # Group tasks into lockstep batches.  Results are identical
-            # to the per-task path (task-keyed RNGs, non-interacting
-            # batch columns); only the wall-clock cost changes.
-            chunk_fn = _execute_campaign_chunk
-            if resolve_jobs(jobs) <= 1 and metrics is not None:
-                registry = metrics
-
-                def chunk_fn(ctx, chunk):  # in-process: registry shareable
-                    return _execute_campaign_chunk(ctx, chunk, metrics=registry)
-
-            results = parallel_map(
-                chunk_fn,
-                context,
-                tasks,
-                jobs=jobs,
-                chunk_size=chunk_size,
-                metrics=metrics,
-                task_label=lambda task: task[0],
-                chunked=True,
-            )
-        else:
-            results = parallel_map(
-                _execute_campaign_task,
-                context,
-                tasks,
-                jobs=jobs,
-                chunk_size=chunk_size,
-                metrics=metrics,
-                task_label=lambda task: task[0],
-            )
+        results = parallel_map(
+            _execute_campaign_task,
+            context,
+            tasks,
+            jobs=jobs,
+            chunk_size=chunk_size,
+            metrics=metrics,
+            task_label=lambda task: task[0],
+        )
     by_task = dict(zip(tasks, results))
 
     with trace.span("campaign.assemble", key=("assemble", config_seed)):

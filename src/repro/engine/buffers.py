@@ -34,8 +34,7 @@ class BufferCache:
     capacity_bytes: float
     cold: bool = True
     _resident: Dict[str, float] = field(default_factory=dict)
-    # Incremental total; the batched engine mirrors the same += sequence
-    # on per-run arrays, keeping both engines bit-identical.
+    # Incremental total, so reading the fill level is O(1).
     _used: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:

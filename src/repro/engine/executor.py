@@ -27,12 +27,11 @@ next-event selection is a min over three deadline heaps and an event
 touches only the components that actually drained, so per-event cost is
 O(log n) in the active set.
 
-``SimulationConfig.engine`` picks this scalar loop (``'virtual_time'``,
-the default) or the lockstep numpy mirror in :mod:`repro.engine.batched`
-(``'batched'``).  The test suite keeps the original full-rescan loop as
-an executable specification (``tests/reference_engine.py``); the
-differential tests hold both shipped engines to it within
-floating-point reassociation tolerance — see docs/PERFORMANCE.md.
+This is the only shipped engine.  The test suite keeps the original
+full-rescan loop as an executable specification
+(``tests/reference_engine.py``); the differential tests hold this loop
+to it within floating-point reassociation tolerance — see
+docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -361,39 +360,10 @@ class ConcurrentExecutor:
         """
         if not streams and not background:
             raise SimulationError("nothing to run")
-        if self._sim.engine == "batched" and self._batched_ok():
-            # Batch of one; bit-identical to the virtual-time loop.
-            # run_batch records into the registry itself (including the
-            # batched-specific families), so skip record_run here.
-            from .batched import RunSpec, run_batch
-
-            return run_batch(
-                self._config,
-                [
-                    RunSpec(
-                        streams=streams,
-                        background=background,
-                        pinned_bytes=pinned_bytes,
-                        rng=self._rng,
-                    )
-                ],
-                metrics=self._metrics,
-            )[0]
-        else:
-            result = self._run_virtual_time(streams, background, pinned_bytes)
+        result = self._run_virtual_time(streams, background, pinned_bytes)
         if self._instr is not None:
             self._instr.record_run(result)
         return result
-
-    def _batched_ok(self) -> bool:
-        """Whether the batched engine can serve this run.
-
-        Tracers need per-interval telemetry and blame attribution
-        records per-phase entry/exit coordinates — both inherently
-        scalar, so those runs take the virtual-time loop (which the
-        batched engine mirrors bit-for-bit anyway).
-        """
-        return self._tracer is None and self._recorder is None
 
     # ------------------------------------------------------------------
     # Virtual-time engine: cumulative-service scheduling.

@@ -34,10 +34,8 @@ class MemoryLedger:
     min_grant_bytes: float = MB(64)
     _pins: Dict[Hashable, float] = field(default_factory=dict)
     _held: Dict[Hashable, float] = field(default_factory=dict)
-    # Running totals maintained incrementally.  The increments are the
-    # ledger's arithmetic contract: the batched engine replays the same
-    # ``sum += new - old`` updates on arrays, so both engines see
-    # bit-identical totals regardless of hold/release order.
+    # Running totals maintained incrementally (``sum += new - old``), so
+    # reading a total is O(1).
     _pinned_sum: float = field(default=0.0, init=False, repr=False)
     _held_sum: float = field(default=0.0, init=False, repr=False)
 

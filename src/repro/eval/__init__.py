@@ -17,7 +17,7 @@ coin-flip, so this package scores any
 * :mod:`repro.eval.backends` — named predictor variants: ``qs`` (the
   known-template QS path) and ``knn`` (every primary scored as-if-new
   through the Fig. 5 KNN pipeline, leave-one-template-out);
-* :mod:`repro.eval.harness` — ground truth through the (batched)
+* :mod:`repro.eval.harness` — ground truth through the
   simulation campaign machinery — seed-deterministic and
   jobs-independent — and per-scenario scoring that reuses
   :class:`~repro.sched.policies.PredictivePolicy` candidate scoring,

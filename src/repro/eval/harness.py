@@ -5,10 +5,8 @@ scheduler have picked the true winner?*  Ground truth comes from the
 same machinery as the training campaign — every candidate mix is an
 independent steady-state simulation task keyed on
 ``(seed, "mix", mix, mpl)`` and dispatched through
-:func:`~repro.core.campaign.parallel_map` (the lockstep batched engine
-when the catalog's config allows it) — so results are bit-identical
-for any ``jobs`` value and for the ``virtual_time`` and ``batched``
-engines, exactly as the campaign itself is.
+:func:`~repro.core.campaign.parallel_map` — so results are bit-identical
+for any ``jobs`` value, exactly as the campaign itself is.
 
 Scoring reuses :class:`~repro.sched.policies.PredictivePolicy`
 verbatim: predicted candidate costs come from :meth:`score` and the
@@ -27,13 +25,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..apps.admission import PredictionBackend
-from ..core.training import (
-    _CampaignContext,
-    _execute_campaign_chunk,
-    _execute_campaign_task,
-)
+from ..core.training import _CampaignContext, _execute_campaign_task
 from ..core.campaign import parallel_map
-from ..engine.batched import batched_campaign_ok
 from ..errors import ModelError
 from ..metrics.errors import mean_relative_error
 from ..obs.metrics import Registry
@@ -164,7 +157,7 @@ def ground_truth_latencies(
     Mixes are deduplicated and sorted, each becoming an independent
     ``("mix", mix, mpl)`` task with its own
     :func:`~repro.core.campaign.task_rng` — the training campaign's
-    exact execution path, inheriting its engine- and jobs-independence.
+    exact execution path, inheriting its jobs-independence.
     """
     if not mixes:
         raise ModelError("need at least one mix for ground truth")
@@ -179,32 +172,17 @@ def ground_truth_latencies(
             raise ModelError(f"ground-truth mixes need MPL >= 2, got {mix}")
     tasks = [("mix", mix, len(mix)) for mix in unique]
     context = _CampaignContext(
-        catalog=catalog,
-        steady=steady,
-        config_seed=int(seed),
-        batch_size=catalog.config.campaign.batch_size,
+        catalog=catalog, steady=steady, config_seed=int(seed)
     )
-    if batched_campaign_ok(catalog.config):
-        results = parallel_map(
-            _execute_campaign_chunk,
-            context,
-            tasks,
-            jobs=jobs,
-            chunk_size=chunk_size,
-            metrics=metrics,
-            task_label=lambda task: "eval-mix",
-            chunked=True,
-        )
-    else:
-        results = parallel_map(
-            _execute_campaign_task,
-            context,
-            tasks,
-            jobs=jobs,
-            chunk_size=chunk_size,
-            metrics=metrics,
-            task_label=lambda task: "eval-mix",
-        )
+    results = parallel_map(
+        _execute_campaign_task,
+        context,
+        tasks,
+        jobs=jobs,
+        chunk_size=chunk_size,
+        metrics=metrics,
+        task_label=lambda task: "eval-mix",
+    )
     latencies: Dict[Mix, Dict[int, float]] = {}
     sim_seconds = 0.0
     for mix, observations in zip(unique, results):

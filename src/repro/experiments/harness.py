@@ -31,10 +31,10 @@ from ..workload.catalog import TemplateCatalog
 #: Version 3: virtual-time default engine — physics agree with the
 #: reference loop only to floating-point reassociation tolerance, so
 #: caches sampled under the per-event-decrement arithmetic are stale.
-#: Version 4: batched campaign execution.  The batched engine mirrors
-#: virtual time bit-for-bit, but the bump guards against any cache
-#: collected while the integration was in flight and records that the
-#: engine knob is now a code-path (not just a speed) selector.
+#: Version 4: batched campaign execution, a lockstep mirror of the
+#: virtual-time engine (since removed; it never changed a result).  The
+#: cache key also hashes ``repr(config)``, so dropping its engine and
+#: batch-size knobs rebuilt old caches without another bump.
 CAMPAIGN_CACHE_FORMAT = 4
 
 

@@ -72,10 +72,8 @@ class ExplainRecorder:
 
     One recorder serves one run: the executor calls :meth:`begin_run`
     before its event loop, which drops any records from a previous run.
-    Attach via ``ConcurrentExecutor(config, recorder=...)``; only the
-    virtual-time engine records (the batched engine falls back to the
-    scalar loop when a recorder is attached, and the reference engine
-    refuses).
+    Attach via ``ConcurrentExecutor(config, recorder=...)``; the
+    test suite's full-rescan reference loop refuses one.
 
     ``phases`` and ``io_exits`` are the lists the engine appends to;
     :meth:`phase_records` / :meth:`io_exit_records` are the read-side

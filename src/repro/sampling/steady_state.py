@@ -121,57 +121,6 @@ class SteadyStateResult:
         return statistics.fmean(s.latency for s in self.samples_for(template_id))
 
 
-def mix_streams(
-    catalog: TemplateCatalog,
-    mix: Sequence[int],
-    config: SteadyStateConfig,
-    rng: np.random.Generator,
-) -> List[TemplateStream]:
-    """One :class:`TemplateStream` per mix slot, sharing *rng*.
-
-    The shared generator is the experiment's whole randomness budget:
-    instance jitter draws interleave with the executor's variance draws
-    in event order, which is why a mix run must own its generator (the
-    campaign keys one per mix task).
-    """
-    if not mix:
-        raise SamplingError("mix must contain at least one template")
-    restart = (
-        catalog.config.simulation.restart_cost if config.apply_restart_cost else 0.0
-    )
-    return [
-        TemplateStream(
-            catalog=catalog,
-            template_id=template_id,
-            target=config.total_per_stream,
-            rng=rng,
-            restart_cost=restart,
-            name=f"slot{slot}-t{template_id}",
-        )
-        for slot, template_id in enumerate(mix)
-    ]
-
-
-def trimmed_samples(
-    streams: Sequence[TemplateStream],
-    config: SteadyStateConfig,
-    run: RunResult,
-) -> List[List[QueryStats]]:
-    """Per-stream samples of *run* with warm-up and cool-down trimmed."""
-    by_stream = run.by_stream()
-    samples: List[List[QueryStats]] = []
-    for stream in streams:
-        collected = by_stream.get(stream.name, [])
-        end = len(collected) - config.cooldown
-        trimmed = collected[config.warmup : end] if end > config.warmup else []
-        if not trimmed:
-            raise SamplingError(
-                f"stream {stream.name} produced no samples after trimming"
-            )
-        samples.append(trimmed)
-    return samples
-
-
 def run_steady_state(
     catalog: TemplateCatalog,
     mix: Sequence[int],
@@ -193,12 +142,43 @@ def run_steady_state(
     Returns:
         Trimmed samples per slot plus the raw run.
     """
+    if not mix:
+        raise SamplingError("mix must contain at least one template")
     cfg = config if config is not None else SteadyStateConfig()
     rng = rng if rng is not None else np.random.default_rng(
         catalog.config.simulation.seed
     )
-    streams = mix_streams(catalog, mix, cfg, rng)
+    # The shared generator is the run's whole randomness budget: instance
+    # jitter draws interleave with the executor's variance draws in event
+    # order, which is why a mix run must own its generator (the campaign
+    # keys one per mix task).
+    restart = (
+        catalog.config.simulation.restart_cost if cfg.apply_restart_cost else 0.0
+    )
+    streams = [
+        TemplateStream(
+            catalog=catalog,
+            template_id=template_id,
+            target=cfg.total_per_stream,
+            rng=rng,
+            restart_cost=restart,
+            name=f"slot{slot}-t{template_id}",
+        )
+        for slot, template_id in enumerate(mix)
+    ]
     executor = ConcurrentExecutor(catalog.config, rng=rng, recorder=recorder)
     run = executor.run(streams)
-    samples = trimmed_samples(streams, cfg, run)
+
+    # Trim warm-up and cool-down from each stream.
+    by_stream = run.by_stream()
+    samples: List[List[QueryStats]] = []
+    for stream in streams:
+        collected = by_stream.get(stream.name, [])
+        end = len(collected) - cfg.cooldown
+        trimmed = collected[cfg.warmup : end] if end > cfg.warmup else []
+        if not trimmed:
+            raise SamplingError(
+                f"stream {stream.name} produced no samples after trimming"
+            )
+        samples.append(trimmed)
     return SteadyStateResult(mix=tuple(mix), samples=samples, run=run)

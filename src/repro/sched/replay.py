@@ -35,6 +35,7 @@ from ..engine.executor import ConcurrentExecutor, RunResult
 from ..engine.profile import ResourceProfile
 from ..errors import ModelError
 from ..metrics.quantiles import percentile as _percentile
+from ..metrics.ranking import pairwise_counts
 from ..obs.metrics import Registry
 from ..workload.catalog import TemplateCatalog
 from .policies import SchedulerPolicy
@@ -296,8 +297,6 @@ class ReplayResult:
         predictions = [o.predicted_exec_seconds for o in self.outcomes]
         if any(p is None for p in predictions):
             return None
-        from ..eval.metrics import pairwise_counts  # avoid an import cycle
-
         correct, comparable = pairwise_counts(
             [o.exec_seconds for o in self.outcomes], predictions
         )

@@ -168,6 +168,10 @@ class RegistryModelProvider:
         return {"reloaded": updated is not None, "model_version": version}
 
 
+#: ``json.dumps`` output, but raising ValueError on NaN and infinities.
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
+
+
 class AppResponse:
     """One finished response: status, content type, encoded body."""
 
@@ -180,9 +184,19 @@ class AppResponse:
 
     @staticmethod
     def from_doc(status: int, doc: Mapping[str, Any]) -> "AppResponse":
-        return AppResponse(
-            status, CONTENT_TYPE_JSON, json.dumps(doc).encode("utf-8")
-        )
+        """Encode *doc* as strict JSON.
+
+        A non-finite float (``NaN``/``Infinity`` are not JSON) turns the
+        response into a 500 internal error instead of a malformed body.
+        """
+        try:
+            body = _STRICT_JSON.encode(doc)
+        except ValueError as exc:
+            status = 500
+            body = _STRICT_JSON.encode(
+                {"error": f"response is not valid JSON: {exc}", "type": "internal"}
+            )
+        return AppResponse(status, CONTENT_TYPE_JSON, body.encode("utf-8"))
 
 
 class _ServingInstruments:

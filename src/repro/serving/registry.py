@@ -203,7 +203,7 @@ def _qs_models_from_doc(doc: dict) -> List[QSModel]:
                         residual_std=float(coeffs["residual_std"]),
                     )
                 )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ModelError) as exc:
         raise ArtifactError(f"malformed QS model section: {exc}") from exc
     return models
 

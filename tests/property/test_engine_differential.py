@@ -1,16 +1,14 @@
-"""Differential tests: the shipped engines against the reference loop.
+"""Differential tests: the shipped engine against the reference loop.
 
 The reference loop (``tests/reference_engine.py``) is the executable
-specification; the virtual-time and batched engines must reproduce its
-physics on arbitrary workloads.
+specification; the virtual-time engine must reproduce its physics on
+arbitrary workloads.
 Bit-equality with the reference is impossible — it decrements remaining
 work per event while virtual time subtracts a cumulative integral from
 a static deadline, and those float reassociations differ — so that
 equivalence is held to a relative tolerance (documented in
 docs/PERFORMANCE.md): per-query stats to 1e-6, tracer aggregates to
-1e-6.  The batched engine, by contrast, mirrors virtual time expression
-for expression, so its runs are additionally checked *bitwise* against
-the scalar virtual-time results.
+1e-6.
 """
 
 import numpy as np
@@ -87,17 +85,6 @@ def assert_equivalent(ref, vt):
     assert ref.elapsed == pytest.approx(vt.elapsed, rel=REL_TOL)
 
 
-def assert_bitwise(vt, bt):
-    """The batched engine must equal scalar virtual time exactly."""
-    assert len(vt.completions) == len(bt.completions)
-    for a, b in zip(vt.completions, bt.completions):
-        assert a.stream_name == b.stream_name
-        assert a.stats == b.stats, (
-            f"{a.stream_name}: virtual_time={a.stats!r} batched={b.stats!r}"
-        )
-    assert vt.elapsed == bt.elapsed
-
-
 # A phase drawn from the full feature space: shared or private scans,
 # random I/O, CPU, working memory that may spill, dimension scans.
 phases = st.builds(
@@ -165,10 +152,7 @@ def test_engines_agree_on_randomized_workloads(spec):
     )
     ref = _run_engine("reference", spec["profiles"], **kwargs)
     vt = _run_engine("virtual_time", spec["profiles"], **kwargs)
-    bt = _run_engine("batched", spec["profiles"], **kwargs)
     assert_equivalent(ref, vt)
-    assert_equivalent(ref, bt)
-    assert_bitwise(vt, bt)
 
 
 @given(
@@ -195,10 +179,7 @@ def test_engines_agree_on_shared_scan_groups(n, seed, window):
         )
     ref = _run_engine("reference", profiles, window=window, seed=seed)
     vt = _run_engine("virtual_time", profiles, window=window, seed=seed)
-    bt = _run_engine("batched", profiles, window=window, seed=seed)
     assert_equivalent(ref, vt)
-    assert_equivalent(ref, bt)
-    assert_bitwise(vt, bt)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31))

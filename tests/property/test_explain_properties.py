@@ -52,7 +52,7 @@ def _config(*, window=1.0, ram_gb=1.0, variance=0.35):
             random_io_variance=variance,
         ),
         simulation=SimulationConfig(
-            engine="virtual_time", scan_share_window=window, restart_cost=0.0
+            scan_share_window=window, restart_cost=0.0
         ),
     )
 

@@ -4,9 +4,8 @@
 recompute rates, scan for the nearest completion, and drain every
 active component on every event — O(active set) per event, with no
 cumulative-service bookkeeping to get wrong.  It exists only as a test
-oracle.  The differential suites hold the shipped virtual-time and
-batched engines to it; they agree to floating-point reassociation
-tolerance (cumulative sums re-associate the same arithmetic), not
+oracle.  The differential suites hold the shipped virtual-time engine
+to it; they agree to floating-point reassociation tolerance (cumulative sums re-associate the same arithmetic), not
 bit-for-bit.  See docs/PERFORMANCE.md and docs/TESTING.md.
 
 Phase entry, the shared-scan join window, and stream keys are the
@@ -18,7 +17,6 @@ else.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -363,12 +361,13 @@ class ReferenceExecutor(ConcurrentExecutor):
 
 
 def make_executor(engine: str, config, **kwargs) -> ConcurrentExecutor:
-    """An executor for *engine*: the oracle for ``"reference"``, else the
-    shipped executor with ``config.simulation.engine`` set to *engine*."""
+    """An executor for *engine*: the oracle for ``"reference"``, the
+    shipped executor for ``"virtual_time"``."""
     if engine == "reference":
         return ReferenceExecutor(config, **kwargs)
-    simulation = replace(config.simulation, engine=engine)
-    return ConcurrentExecutor(replace(config, simulation=simulation), **kwargs)
+    if engine != "virtual_time":
+        raise ValueError(f"unknown engine {engine!r}")
+    return ConcurrentExecutor(config, **kwargs)
 
 
 def reference_run(

@@ -166,21 +166,17 @@ def test_default_task_label_is_task():
 
 
 # ----------------------------------------------------------------------
-# Batched execution: grouping tasks into lockstep batches must be pure
-# plumbing — campaign results are bit-identical across engines, batch
-# sizes, and jobs counts.
+# Per-task seeding makes ``jobs`` pure plumbing: campaign results are
+# bit-identical for any worker count.
 
 
-def _collect(engine, jobs=1, batch=64):
-    from repro.config import CampaignConfig, SimulationConfig, SystemConfig
+def _collect(jobs=1):
+    from repro.config import CampaignConfig, SystemConfig
     from repro.core.training import collect_training_data
     from repro.sampling.steady_state import SteadyStateConfig
     from repro.workload.catalog import TemplateCatalog
 
-    config = SystemConfig(
-        simulation=SimulationConfig(engine=engine),
-        campaign=CampaignConfig(jobs=jobs, batch_size=batch),
-    )
+    config = SystemConfig(campaign=CampaignConfig(jobs=jobs))
     catalog = TemplateCatalog(config=config).subset((26, 62, 71))
     return collect_training_data(
         catalog,
@@ -190,8 +186,5 @@ def _collect(engine, jobs=1, batch=64):
     ).to_json()
 
 
-def test_campaign_bit_identical_across_engines_batches_and_jobs():
-    scalar = _collect("virtual_time")
-    assert _collect("batched", batch=3) == scalar
-    assert _collect("batched", batch=64) == scalar
-    assert _collect("batched", jobs=2, batch=64) == scalar
+def test_campaign_bit_identical_across_jobs():
+    assert _collect(jobs=2) == _collect()

@@ -73,3 +73,12 @@ def test_explicit_observations_subset(small_training_data, calc):
     obs = small_training_data.observations_for(26, 2)[:4]
     model = fit_qs_model(small_training_data, calc, 26, 2, observations=obs)
     assert model.num_samples <= 4
+
+
+@pytest.mark.parametrize("field", ["slope", "intercept", "residual_std"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coefficients_rejected(field, value):
+    coeffs = dict(slope=0.5, intercept=0.1, residual_std=0.0)
+    coeffs[field] = value
+    with pytest.raises(ModelError, match=field):
+        QSModel(template_id=1, mpl=2, **coeffs)

@@ -82,7 +82,7 @@ def test_totals_accumulate_across_runs():
 
 def test_virtual_time_reports_integral_and_heap_peaks():
     reg = Registry()
-    ex = ConcurrentExecutor(_config(engine="virtual_time"), metrics=reg)
+    ex = ConcurrentExecutor(_config(), metrics=reg)
     _run(ex, [_seq_profile(MB(100)), _seq_profile(MB(100))])
 
     # Two concurrent scans: the seq heap held both at once.

@@ -14,12 +14,11 @@ import pytest
 from repro.config import HardwareSpec, SimulationConfig, SystemConfig
 from repro.engine.executor import ConcurrentExecutor, SingleShotStream
 from repro.engine.profile import Phase, ResourceProfile, reader_profile
-from repro.errors import ConfigurationError
 from repro.units import GB, MB
 from tests.reference_engine import ReferenceExecutor
 
 
-def _config(engine="virtual_time", **sim_kwargs):
+def _config(**sim_kwargs):
     sim_kwargs.setdefault("restart_cost", 0.0)
     return SystemConfig(
         hardware=HardwareSpec(
@@ -29,7 +28,7 @@ def _config(engine="virtual_time", **sim_kwargs):
             random_iops=100.0,
             random_io_variance=0.0,
         ),
-        simulation=SimulationConfig(engine=engine, **sim_kwargs),
+        simulation=SimulationConfig(**sim_kwargs),
     )
 
 
@@ -58,16 +57,14 @@ def _both(profiles, background=(), pinned=0.0, seed=0, **sim_kwargs):
 
 
 class TestEngineKnob:
-    def test_default_engine_is_virtual_time(self):
-        assert SimulationConfig().engine == "virtual_time"
-
+    # There is one shipped engine, so the config has no knob to pick one;
+    # the reference loop is a test oracle, not selectable by config.
     def test_reference_engine_rejected(self):
-        # The reference loop is a test oracle, not a shipped engine.
-        with pytest.raises(ConfigurationError, match="engine"):
+        with pytest.raises(TypeError, match="engine"):
             SimulationConfig(engine="reference")
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError, match="engine"):
+        with pytest.raises(TypeError, match="engine"):
             SimulationConfig(engine="warp-speed")
 
 

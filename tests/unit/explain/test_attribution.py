@@ -17,7 +17,7 @@ from repro.units import GB, MB
 from tests.reference_engine import ReferenceExecutor
 
 
-def _config(engine="virtual_time", *, variance=0.0, window=1.0):
+def _config(*, variance=0.0, window=1.0):
     return SystemConfig(
         hardware=HardwareSpec(
             cores=4,
@@ -27,14 +27,13 @@ def _config(engine="virtual_time", *, variance=0.0, window=1.0):
             random_io_variance=variance,
         ),
         simulation=SimulationConfig(
-            engine=engine, scan_share_window=window, restart_cost=0.0
+            scan_share_window=window, restart_cost=0.0
         ),
     )
 
 
-def _run(profiles, *, engine="virtual_time", variance=0.0, window=1.0,
-         background=(), seed=0):
-    config = _config(engine, variance=variance, window=window)
+def _run(profiles, *, variance=0.0, window=1.0, background=(), seed=0):
+    config = _config(variance=variance, window=window)
     recorder = ExplainRecorder()
     executor = ConcurrentExecutor(
         config, rng=np.random.default_rng(seed), recorder=recorder
@@ -163,19 +162,6 @@ def test_reference_engine_refuses_recorder():
     )
     with pytest.raises(SimulationError, match="virtual-time engine"):
         executor.run([SingleShotStream(MIXED[0], name="s0")])
-
-
-def test_batched_engine_records_via_scalar_fallback():
-    plain_cfg = _config("batched")
-    executor = ConcurrentExecutor(plain_cfg, rng=np.random.default_rng(0))
-    plain = executor.run(
-        [SingleShotStream(p, name=f"s{i}") for i, p in enumerate(MIXED)]
-    )
-    recorder, recorded, _ = _run(MIXED, engine="batched")
-    assert len(recorder.phases) > 0
-    for a, b in zip(plain.completions, recorded.completions):
-        assert a.stats == b.stats
-    assert plain.elapsed == recorded.elapsed
 
 
 def test_recorder_begin_run_resets_records():

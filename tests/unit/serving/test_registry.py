@@ -148,6 +148,16 @@ def test_tampered_training_data_rejected(artifact_path):
         load_artifact(artifact_path)
 
 
+def test_non_finite_qs_slope_rejected(artifact_path):
+    # The fingerprint covers options and training only, so a tampered
+    # model section must be caught by QSModel's own validation.
+    doc = json.loads(artifact_path.read_text())
+    doc["models"]["qs"]["2"]["26"]["slope"] = float("nan")
+    artifact_path.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match="slope must be finite"):
+        load_artifact(artifact_path)
+
+
 def test_missing_keys_rejected(artifact_path):
     doc = json.loads(artifact_path.read_text())
     del doc["models"]

@@ -1,16 +1,13 @@
-"""Golden pins and engine/jobs identity for the evaluation harness.
+"""Golden pins and jobs/reference-engine identity for the evaluation harness.
 
 The canonical run: the full default scenario matrix (four families x
 MPLs 2-3, window 4, three sets each) over the small template subset,
 with both backends trained on an MPL 2-3 campaign, everything derived
-from seed 7.  The pinned numbers were computed with the default
-``virtual_time`` engine and committed.
+from seed 7.  The pinned numbers were computed with the virtual-time
+engine and committed.
 
 Identity guarantees, mirroring the campaign's own:
 
-* ``virtual_time`` and ``batched`` produce **bit-identical** report
-  documents (the batched engine replays the same event sequence in
-  lockstep);
 * any ``--jobs`` value produces bit-identical documents (per-task
   seeding, no shared RNG stream);
 * the reference loop (``tests/reference_engine.py``, patched in for
@@ -23,7 +20,6 @@ Identity guarantees, mirroring the campaign's own:
 
 import pytest
 
-from repro.config import SimulationConfig, SystemConfig
 from repro.core.training import collect_training_data
 from repro.eval.backends import named_backends
 from repro.eval.harness import run_matrix
@@ -42,11 +38,9 @@ SEED = 7
 STEADY = SteadyStateConfig(samples_per_stream=3)
 
 
-def _pipeline(engine, jobs=None):
-    """Catalog, campaign, and backends, all under one engine."""
-    catalog = TemplateCatalog(
-        config=SystemConfig(simulation=SimulationConfig(engine=engine))
-    ).subset(SMALL_TEMPLATES)
+def _pipeline(jobs=None):
+    """Catalog, campaign, and backends."""
+    catalog = TemplateCatalog().subset(SMALL_TEMPLATES)
     data = collect_training_data(
         catalog,
         mpls=(2, 3),
@@ -70,13 +64,13 @@ def _evaluate(pipeline, jobs=None):
 
 
 @pytest.fixture(scope="module")
-def vt_pipeline():
-    return _pipeline("virtual_time")
+def pipeline():
+    return _pipeline()
 
 
 @pytest.fixture(scope="module")
-def result(vt_pipeline):
-    return _evaluate(vt_pipeline)
+def result(pipeline):
+    return _evaluate(pipeline)
 
 
 def test_matrix_shape(result):
@@ -145,21 +139,16 @@ def test_ranking_floor_and_ordering(result):
     assert qs.mre < knn.mre
 
 
-def test_batched_engine_is_bit_identical(result):
-    batched = _evaluate(_pipeline("batched"))
-    assert batched.to_doc() == result.to_doc()
-
-
-def test_jobs_do_not_change_results(vt_pipeline, result):
+def test_jobs_do_not_change_results(pipeline, result):
     for jobs in (1, 2):
-        assert _evaluate(vt_pipeline, jobs=jobs).to_doc() == result.to_doc()
+        assert _evaluate(pipeline, jobs=jobs).to_doc() == result.to_doc()
 
 
 def test_reference_engine_agrees(result, monkeypatch):
     # In-process (jobs=1): every campaign and ground-truth run goes
     # through ConcurrentExecutor.run, so patching it swaps the loop.
     monkeypatch.setattr(ConcurrentExecutor, "run", reference_run)
-    reference = _evaluate(_pipeline("virtual_time", jobs=1), jobs=1)
+    reference = _evaluate(_pipeline(jobs=1), jobs=1)
     assert reference.mixes == result.mixes
     assert reference.sim_seconds == pytest.approx(
         result.sim_seconds, rel=1e-9
