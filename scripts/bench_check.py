@@ -266,8 +266,8 @@ def measure() -> Dict[str, Dict[str, object]]:
             "max_value": 0.05,
         },
         # The serving tier's reason to exist: the multi-worker front end
-        # driven through predict-batch must beat the single-process
-        # threaded plain-predict ceiling by at least 10x.  The floor is
+        # driven through predict-batch must beat the in-process asyncio
+        # server's plain-predict ceiling by at least 10x.  The floor is
         # live — 10x whatever the ceiling measures on THIS machine in
         # the same run, both sides interleaved round-for-round — so the
         # gate holds on any hardware without a committed constant.
@@ -485,15 +485,15 @@ def _residual_ingestion_overhead(
 def _serving_throughput_metrics(
     rounds: int = 4, requests: int = 2000, batch: int = 64
 ) -> Dict[str, float]:
-    """Multi-worker serving tier throughput vs the single-process ceiling.
+    """Multi-worker serving tier throughput vs the in-process ceiling.
 
     Starts both front ends over the same artifact and alternates
     measurement rounds between them, so machine-load drift lands on both
-    sides of the ratio.  The ceiling is the threaded single-process
-    server driven with plain ``/v1/predict`` round trips — the old
-    tier's best case — and the tier number is the multi-worker server
-    driven through ``/v1/predict-batch``, where coalesced requests
-    evaluate with one vectorized model pass.  The p99 is taken from
+    sides of the ratio.  The ceiling is the in-process server (one
+    asyncio loop, the same HTTP transport) driven with plain
+    ``/v1/predict`` round trips; the tier number is the multi-worker
+    server driven through ``/v1/predict-batch``, where coalesced
+    requests evaluate with one vectorized model pass.  The p99 is taken from
     plain predicts against the multi-worker tier (interactive latency
     must not regress while batch throughput scales).
     """
@@ -526,7 +526,7 @@ def _serving_throughput_metrics(
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         save_artifact(model, path)
-        threaded = PredictionServer.from_artifact(
+        single = PredictionServer.from_artifact(
             path, config=ServingConfig(port=0)
         ).start()
         tier = (
@@ -537,14 +537,14 @@ def _serving_throughput_metrics(
             else None
         )
         tier_host, tier_port = (
-            (tier.host, tier.port) if tier else (threaded.host, threaded.port)
+            (tier.host, tier.port) if tier else (single.host, single.port)
         )
         try:
             best_ceiling = best_tier = best_ratio = 0.0
             best_p99 = float("inf")
             for i in range(rounds + 1):
                 ceiling = LoadGenerator(
-                    threaded.host, threaded.port, submitters=4
+                    single.host, single.port, submitters=4
                 ).run(workload)
                 batched = LoadGenerator(
                     tier_host, tier_port, submitters=4, batch_size=batch
@@ -559,7 +559,7 @@ def _serving_throughput_metrics(
                 best_ratio = max(best_ratio, batched.qps / ceiling.qps)
                 best_p99 = min(best_p99, plain.p99_ms)
         finally:
-            threaded.shutdown()
+            single.shutdown()
             if tier is not None:
                 tier.shutdown()
     return {

@@ -3,7 +3,7 @@
 
 Runs only the serving metrics from ``scripts/bench_check.py`` — the
 multi-worker predict-batch throughput against the live-measured
-single-process plain-predict ceiling (>= 10x floor), and the plain
+in-process plain-predict ceiling (>= 10x floor), and the plain
 predict p99 ceiling — so `make serve-bench` answers "did I break the
 serving tier?" in under a minute.
 """
@@ -28,7 +28,7 @@ def main() -> int:
     serving = _serving_throughput_metrics()
     floor = SPEEDUP_FLOOR * serving["ceiling_qps"]
     rows = [
-        ("single-process ceiling", f"{serving['ceiling_qps']:,.0f} predictions/sec"),
+        ("in-process ceiling", f"{serving['ceiling_qps']:,.0f} predictions/sec"),
         ("multi-worker batched", f"{serving['predictions_per_sec']:,.0f} predictions/sec"),
         ("speedup", f"{serving['speedup']:.1f}x (floor {SPEEDUP_FLOOR:.0f}x)"),
         ("plain predict p99", f"{serving['p99_ms']:.2f} ms (ceiling {P99_CEILING_MS:.0f} ms)"),

@@ -177,8 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="HTTP worker processes sharing the port (default: CPU "
-        "count); falls back to the threaded single-process server "
-        "when fork/SO_REUSEPORT are unavailable",
+        "count); 1 serves in-process, as does the fallback when fork "
+        "is unavailable",
     )
     p.add_argument(
         "--batch-workers",
@@ -688,7 +688,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 0
         print(
             f"multi-worker serving unavailable ({reason}); "
-            "falling back to the threaded single-process server"
+            "falling back to the in-process server"
         )
 
     server = PredictionServer.from_artifact(

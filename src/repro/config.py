@@ -181,14 +181,15 @@ class ServingConfig:
         workers: Batch-worker threads draining the request queue
             (within one process).
         worker_processes: Pre-fork HTTP worker processes sharing the
-            listening port.  1 (the default) keeps the single-process
-            threaded server; higher values require ``fork`` support and
-            fall back to 1 where the platform lacks it.
+            listening port.  1 (the default) serves in-process; higher
+            values fork that many workers running the same HTTP
+            transport, and fall back to in-process where the platform
+            lacks ``fork``.
         batch_window: Seconds a worker lingers after the first request of
             a batch to coalesce concurrent arrivals into one model call.
         max_batch: Most requests a single batch may absorb.
-        request_timeout: Seconds a front-end thread waits for its batch
-            result before answering 504.
+        request_timeout: Seconds a request waits for its batch result
+            before answering 504.
         cache_entries: Capacity of the prediction cache (LRU).
         cache_ttl: Seconds a cached prediction stays servable.
         sla_factor: Default SLA multiple for the ``admit`` endpoint.

@@ -8,17 +8,18 @@ prediction is what makes this affordable, Sec. 5.5):
 * :mod:`repro.serving.registry` — versioned JSON model artifacts with
   schema checks, plus an in-memory registry with hot reload;
 * :mod:`repro.serving.app` — the transport-agnostic serving core
-  (routing, caching, batching, instrumentation, error mapping) shared by
-  both front ends (``predict``, ``predict-batch``, ``predict-new``,
+  (routing, caching, batching, instrumentation, error mapping) behind
+  every endpoint (``predict``, ``predict-batch``, ``predict-new``,
   ``admit``, ``observe``, ``explain``, ``health``, ``stats``,
   ``reload``);
-* :mod:`repro.serving.server` — a threaded stdlib-HTTP front end over a
-  batching worker pool;
-* :mod:`repro.serving.frontend` — the pre-fork multi-worker asyncio
-  front end: N processes accepting on a shared ``SO_REUSEPORT`` port,
-  mapping one shared-memory model (:mod:`repro.serving.shm`) read-only,
-  with seqlock-published hot-reload generations and residual fan-in to a
+* :mod:`repro.serving.frontend` — the one HTTP transport, an asyncio
+  HTTP/1.1 connection handler, and its pre-fork multi-worker mode: N
+  processes accepting on a shared ``SO_REUSEPORT`` port, mapping one
+  shared-memory model (:mod:`repro.serving.shm`) read-only, with
+  seqlock-published hot-reload generations and residual fan-in to a
   single lifecycle monitor;
+* :mod:`repro.serving.server` — the in-process mode of that transport:
+  one event loop over a local model registry;
 * :mod:`repro.serving.batching` / :mod:`repro.serving.cache` — request
   coalescing and LRU+TTL prediction memoization for repeated mixes;
 * :mod:`repro.serving.client` — the RPC client, a remote admission

@@ -3,13 +3,13 @@
 :class:`ServingApp` is everything the prediction service does between a
 parsed HTTP request and a response document — the batched/cached predict
 path, admission, lifecycle observation, health/stats/reload, metrics,
-error mapping — with **no** socket code.  Two transports drive it:
-
-* the single-process threaded server (:mod:`repro.serving.server`),
-  where every handler thread calls :meth:`ServingApp.handle`;
-* the pre-fork asyncio front end (:mod:`repro.serving.frontend`), where
-  each worker process owns one app over a shared-memory model and the
-  hot endpoints await batcher futures without blocking the event loop.
+error mapping — with **no** socket code.  One HTTP transport drives
+it, the asyncio connection handler of :mod:`repro.serving.frontend`: the
+hot endpoints (``predict``, ``predict-batch``) await batcher futures
+without blocking the event loop, and every other endpoint runs
+:meth:`ServingApp.handle` on an executor thread.  The transport runs
+in-process (:mod:`repro.serving.server`) or in N pre-fork worker
+processes, each owning one app over a shared-memory model.
 
 The app reads its model through a :class:`ModelProvider` — a snapshot
 interface that hides whether the model lives in a local
@@ -61,7 +61,6 @@ from .protocol import (
     AdmitRequest,
     AdmitResponse,
     BatchPredictRequest,
-    BatchPredictResponse,
     ExplainRequest,
     ExplainResponse,
     HealthResponse,
@@ -526,14 +525,6 @@ class ServingApp:
                 pending.append((i, self._batcher.submit(key)))
         return responses, pending
 
-    def _predict_batch(
-        self, request: BatchPredictRequest
-    ) -> BatchPredictResponse:
-        responses, pending = self.batch_fast_path(request)
-        for i, future in pending:
-            responses[i] = self._await(future)
-        return BatchPredictResponse(items=tuple(responses))
-
     # ------------------------------------------------------------------
     # Direct (unbatched) operations.
 
@@ -708,7 +699,7 @@ class ServingApp:
             model_version=snap.version,
             template_ids=tuple(contender.template_ids),
             uptime_seconds=time.monotonic() - self._started,
-            requests_served=self._requests_served(),
+            requests_served=sum(self.counter_snapshot().values()),
             isolated_latencies={
                 t: contender.data.profile(t).isolated_latency
                 for t in contender.template_ids
@@ -720,8 +711,7 @@ class ServingApp:
 
     def _stats(self) -> Dict[str, Any]:
         snap = self._provider.snapshot()
-        with self._counter_lock:
-            counters = dict(self._counters)
+        counters = self.counter_snapshot()
         doc = {
             "model_name": getattr(self._provider, "model_name", "default"),
             "model_version": snap.version,
@@ -747,10 +737,6 @@ class ServingApp:
 
     # ------------------------------------------------------------------
     # Request plumbing shared by the transports.
-
-    def _requests_served(self) -> int:
-        with self._counter_lock:
-            return sum(self._counters.values())
 
     def counter_snapshot(self) -> Dict[str, int]:
         """Per-endpoint request counts (the worker heartbeat's source)."""
@@ -797,7 +783,7 @@ class ServingApp:
         return 500, {"error": str(exc), "type": "internal"}, "internal"
 
     def handle(self, verb: str, path: str, body: bytes) -> AppResponse:
-        """Serve one request end to end (synchronous transports)."""
+        """Serve one non-predict request end to end, blocking."""
         started = self.begin_request()
         op = ["unknown"]
         error_type: Optional[str] = None
@@ -855,8 +841,6 @@ class ServingApp:
             self.count("reload")
             return AppResponse.from_doc(200, self._reload())
         if verb != "POST" or path not in (
-            "/v1/predict",
-            "/v1/predict-batch",
             "/v1/predict-new",
             "/v1/admit",
             "/v1/observe",
@@ -864,19 +848,6 @@ class ServingApp:
         ):
             return None
         doc = decode_json(body)
-        if path == "/v1/predict":
-            op[0] = "predict"
-            self.count("predict")
-            return AppResponse.from_doc(
-                200, self._predict(PredictRequest.from_doc(doc)).to_doc()
-            )
-        if path == "/v1/predict-batch":
-            op[0] = "predict_batch"
-            self.count("predict_batch")
-            return AppResponse.from_doc(
-                200,
-                self._predict_batch(BatchPredictRequest.from_doc(doc)).to_doc(),
-            )
         if path == "/v1/predict-new":
             op[0] = "predict_new"
             self.count("predict_new")

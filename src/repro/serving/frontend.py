@@ -1,8 +1,8 @@
-"""The pre-fork multi-worker HTTP front end.
+"""The HTTP transport and its pre-fork multi-worker mode.
 
 :class:`MultiWorkerServer` forks N worker processes that accept on a
 shared port and serve the same :class:`~repro.serving.app.ServingApp`
-core as the single-process server:
+core, through the same connection handler, as the in-process server:
 
 * **Sockets** — each worker opens its own listening socket with
   ``SO_REUSEPORT`` (the kernel load-balances connections across the
@@ -46,6 +46,7 @@ core as the single-process server:
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import multiprocessing
 import os
 import queue as queue_mod
@@ -55,7 +56,7 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import LifecycleConfig, ServingConfig
 from ..errors import ProtocolError, ServingError
@@ -80,12 +81,16 @@ __all__ = [
 _HEARTBEAT_INTERVAL = 1.0
 #: Seconds between worker-0 drains of the observe fan-in queues.
 _OBSERVE_DRAIN_INTERVAL = 0.1
+#: Most header lines one request may carry (``http.server``'s cap).
+_MAX_HEADERS = 100
 
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    414: "URI Too Long",
     422: "Unprocessable Entity",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -96,7 +101,7 @@ def multiworker_supported() -> Tuple[bool, str]:
     """Whether this platform can run the pre-fork front end.
 
     Returns ``(supported, reason)``; *reason* explains a ``False`` (the
-    CLI prints it before falling back to the threaded server).
+    CLI prints it before falling back to the in-process server).
     """
     if not hasattr(os, "fork"):
         return False, "platform has no fork()"
@@ -262,6 +267,50 @@ def _render(response: AppResponse, keep_alive: bool) -> bytes:
     return head.encode("latin-1") + response.body
 
 
+def _settle(waiter: asyncio.Future, timeout: Optional[float]) -> None:
+    """Resolve *waiter*, or fail it as timed out (504) after *timeout*."""
+    if waiter.done():
+        return
+    if timeout is None:
+        waiter.set_result(None)
+    else:
+        waiter.set_exception(
+            ServingError(f"prediction timed out after {timeout}s")
+        )
+
+
+async def _await_all(
+    app: ServingApp, futures: Sequence[concurrent.futures.Future]
+) -> None:
+    """Wait for every batcher future with one await and no Task.
+
+    The last future to finish resolves one loop future, which a timer
+    fails after ``request_timeout``; each ``future.result()`` is then
+    ready to read.
+    """
+    loop = asyncio.get_running_loop()
+    waiter = loop.create_future()
+    remaining = [len(futures)]
+    lock = threading.Lock()
+
+    def finished(_future: concurrent.futures.Future) -> None:
+        with lock:
+            remaining[0] -= 1
+            if remaining[0]:
+                return
+        if not loop.is_closed():  # closed: the request was abandoned
+            loop.call_soon_threadsafe(_settle, waiter, None)
+
+    for future in futures:
+        future.add_done_callback(finished)
+    timeout = app.config.request_timeout
+    timer = loop.call_later(timeout, _settle, waiter, timeout)
+    try:
+        await waiter
+    finally:
+        timer.cancel()
+
+
 async def _respond_predict(app: ServingApp, body: bytes) -> AppResponse:
     """The async hot path for ``POST /v1/predict``."""
     started = app.begin_request()
@@ -270,15 +319,8 @@ async def _respond_predict(app: ServingApp, body: bytes) -> AppResponse:
         request = PredictRequest.from_doc(decode_json(body))
         app.count("predict")
         future = app.submit_predict(request)
-        try:
-            latency, cached, version = await asyncio.wait_for(
-                asyncio.wrap_future(future),
-                timeout=app.config.request_timeout,
-            )
-        except asyncio.TimeoutError:
-            raise ServingError(
-                f"prediction timed out after {app.config.request_timeout}s"
-            ) from None
+        await _await_all(app, (future,))
+        latency, cached, version = future.result()
         response = AppResponse.from_doc(
             200,
             PredictResponse(
@@ -297,7 +339,7 @@ async def _respond_predict_batch(app: ServingApp, body: bytes) -> AppResponse:
     """The async hot path for ``POST /v1/predict-batch``.
 
     Cache hits answer inline from the fingerprint-scoped cache; all
-    misses are submitted before the first await, so they coalesce into
+    misses are submitted before the one await, so they coalesce into
     (at most a few) vectorized model batches.
     """
     started = app.begin_request()
@@ -306,17 +348,10 @@ async def _respond_predict_batch(app: ServingApp, body: bytes) -> AppResponse:
         request = BatchPredictRequest.from_doc(decode_json(body))
         app.count("predict_batch")
         responses, pending = app.batch_fast_path(request)
+        if pending:
+            await _await_all(app, [future for _, future in pending])
         for i, future in pending:
-            try:
-                latency, cached, version = await asyncio.wait_for(
-                    asyncio.wrap_future(future),
-                    timeout=app.config.request_timeout,
-                )
-            except asyncio.TimeoutError:
-                raise ServingError(
-                    f"prediction timed out after "
-                    f"{app.config.request_timeout}s"
-                ) from None
+            latency, cached, version = future.result()
             responses[i] = PredictResponse(
                 latency=latency, cached=cached, model_version=version
             )
@@ -330,9 +365,13 @@ async def _respond_predict_batch(app: ServingApp, body: bytes) -> AppResponse:
     return response
 
 
-async def _reject(writer: asyncio.StreamWriter, message: str) -> None:
-    """Answer an unparseable request with a 400; the caller closes."""
-    response = AppResponse.from_doc(400, {"error": message, "type": "protocol"})
+async def _reject(
+    writer: asyncio.StreamWriter, message: str, status: int = 400
+) -> None:
+    """Answer an unparseable request; the caller closes."""
+    response = AppResponse.from_doc(
+        status, {"error": message, "type": "protocol"}
+    )
     writer.write(_render(response, keep_alive=False))
     await writer.drain()
 
@@ -346,7 +385,11 @@ async def _serve_connection(
     loop = asyncio.get_running_loop()
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # longer than the reader's limit
+                await _reject(writer, "request line too long", 414)
+                break
             if not line or line in (b"\r\n", b"\n"):
                 break
             try:
@@ -357,12 +400,18 @@ async def _serve_connection(
                 await _reject(writer, "malformed request line")
                 break
             headers: Dict[str, str] = {}
-            while True:
-                header = await reader.readline()
-                if not header or header in (b"\r\n", b"\n"):
-                    break
-                name, _, value = header.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
+            try:
+                for _ in range(_MAX_HEADERS + 1):
+                    header = await reader.readline()
+                    if not header or header in (b"\r\n", b"\n"):
+                        break
+                    name, _, value = header.decode("latin-1").partition(":")
+                    headers[name.strip().lower()] = value.strip()
+                else:
+                    raise ValueError(f"more than {_MAX_HEADERS} lines")
+            except ValueError as exc:  # or one longer than the limit
+                await _reject(writer, f"header fields too large: {exc}", 431)
+                break
             try:
                 length = parse_content_length(headers.get("content-length"))
             except ProtocolError as exc:
@@ -394,12 +443,13 @@ async def _serve_connection(
         TimeoutError,
     ):
         pass  # client hung up; nothing to answer
+    except asyncio.CancelledError:
+        # The loop is shutting down with this connection open.  End the
+        # task normally: Python 3.11's start_server done-callback calls
+        # task.exception() on a cancelled task and logs a traceback.
+        pass
     finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except Exception:  # noqa: BLE001
-            pass
+        writer.close()
 
 
 async def _worker_async(
@@ -493,6 +543,9 @@ async def _worker_async(
     if index == 0 and lifecycle_cfg.enabled:
         tasks.append(asyncio.ensure_future(drain_observations()))
 
+    # Stamp the slot before reporting ready: a /v1/health answered in
+    # between must not count this worker as dead (pid 0).
+    control.heartbeat(index, requests=0, predictions=0)
     ready_queue.put(("ready", index, os.getpid()))
     try:
         await stop.wait()

@@ -588,7 +588,7 @@ class HealthResponse:
             admission clients reason about SLAs without a second RPC.
         workers: Worker-process liveness (multi-worker serving only):
             worker count, alive count, and per-worker pid/heartbeat/
-            request counters.  ``None`` under the single-process server.
+            request counters.  ``None`` under the in-process server.
     """
 
     status: str

@@ -12,7 +12,9 @@ An *artifact* freezes everything a prediction server needs:
 
 Floats survive JSON via shortest-repr round-tripping, so a restored
 model predicts **bitwise-identically** to the in-memory one it was saved
-from; ``load_artifact(verify=True)`` proves it by refitting.
+from; ``load_artifact(verify=True)`` proves it by refitting.  The
+``fingerprint`` (sha256 of options and training) names the version; the
+``models_digest`` (sha256 of the models) rejects hand-edited models.
 
 The in-memory :class:`ModelRegistry` maps names to loaded artifacts and
 supports hot reload: when the backing file changes on disk (mtime or
@@ -56,7 +58,8 @@ ARTIFACT_FORMAT = "contender-model"
 #: Version of the artifact layout this code reads and writes.
 SCHEMA_VERSION = 1
 
-_REQUIRED_KEYS = ("format", "schema_version", "options", "training", "models", "fingerprint")
+_REQUIRED_KEYS = ("format", "schema_version", "options", "training", "models",
+                  "fingerprint", "models_digest")
 
 
 @dataclass(frozen=True)
@@ -92,13 +95,14 @@ class LoadedModel:
     info: ArtifactInfo
 
 
-def _fingerprint(options_doc: dict, training_doc: dict) -> str:
-    canonical = json.dumps(
-        {"options": options_doc, "training": training_doc},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+def _digest(doc: Any) -> str:
+    """sha256 of *doc*'s canonical JSON (sorted keys, compact)."""
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _fingerprint(options_doc: dict, training_doc: dict) -> str:
+    return _digest({"options": options_doc, "training": training_doc})
 
 
 def _options_doc(options: ContenderOptions) -> dict:
@@ -163,13 +167,15 @@ def build_artifact(contender: Contender) -> dict:
             "scale": growth.scale,
         }
 
+    models = {"qs": qs, "spoiler_growth": spoiler_growth}
     return {
         "format": ARTIFACT_FORMAT,
         "schema_version": SCHEMA_VERSION,
         "options": options_doc,
         "training": training_doc,
-        "models": {"qs": qs, "spoiler_growth": spoiler_growth},
+        "models": models,
         "fingerprint": _fingerprint(options_doc, training_doc),
+        "models_digest": _digest(models),
     }
 
 
@@ -219,8 +225,9 @@ def load_artifact(path: Path, verify: bool = False) -> LoadedModel:
 
     Raises:
         ArtifactError: Missing file, unparsable JSON, wrong format tag,
-            unsupported schema version, fingerprint mismatch, or (with
-            *verify*) coefficients that no longer reproduce.
+            unsupported schema version, fingerprint or models digest
+            mismatch, or (with *verify*) coefficients that no longer
+            reproduce.
     """
     path = Path(path)
     try:
@@ -284,6 +291,11 @@ def model_from_doc(
     if not isinstance(models_doc, dict) or "qs" not in models_doc:
         raise ArtifactError(f"{path}: malformed models section")
     qs_models = _qs_models_from_doc(models_doc["qs"])
+    if doc["models_digest"] != _digest(models_doc):
+        raise ArtifactError(
+            f"{path}: models digest mismatch — the fitted models were "
+            f"modified after packing; re-pack with `repro pack`"
+        )
 
     contender = Contender(data, options)
     contender.preload_qs_models(qs_models)

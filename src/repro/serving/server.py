@@ -2,8 +2,8 @@
 
 Architecture (all stdlib):
 
-* a :class:`~http.server.ThreadingHTTPServer` front end — one thread per
-  connection parses requests and blocks on a future;
+* one asyncio event loop running the HTTP/1.1 connection handler of the
+  multi-worker tier (:func:`repro.serving.frontend._serve_connection`);
 * a :class:`~repro.serving.app.ServingApp` core owning the
   :class:`~repro.serving.batching.RequestBatcher` (coalesces concurrent
   ``predict`` requests, answers repeats from the
@@ -12,27 +12,26 @@ Architecture (all stdlib):
 * a :class:`~repro.serving.registry.ModelRegistry` holding the active
   artifact, hot-reloadable through ``POST /v1/reload``.
 
-This module is the *single-process* transport; the pre-fork multi-worker
-front end lives in :mod:`repro.serving.frontend` and drives the same
-:class:`~repro.serving.app.ServingApp` core over shared-memory model
-artifacts.  Request semantics — reload consistency, fingerprint-scoped
-cache keys, the failure mapping (400 protocol / 422 model / 504 timeout
-/ 404 unknown), and the ``/metrics`` exposition — are owned by the app
-and therefore identical across transports.
+This is the *in-process* mode of the one HTTP transport; the pre-fork
+front end (:mod:`repro.serving.frontend`) runs the same handler in N
+processes over shared-memory model artifacts.  Request semantics —
+reload consistency, fingerprint-scoped cache keys, the failure mapping
+(400 protocol / 422 model / 504 timeout / 404 unknown), and the
+``/metrics`` exposition — are therefore identical in both modes.
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
 from ..config import LifecycleConfig, ServingConfig
-from ..errors import ProtocolError, ServingError
+from ..errors import ServingError
 from ..obs.metrics import Registry
-from .app import AppResponse, RegistryModelProvider, ServingApp
-from .protocol import parse_content_length
+from .app import RegistryModelProvider, ServingApp
+from .frontend import _new_listen_socket, _serve_connection
 from .registry import ModelRegistry
 
 __all__ = ["DEFAULT_MODEL_NAME", "PredictionServer"]
@@ -53,8 +52,9 @@ class PredictionServer:
             pass a shared registry to merge serving metrics with other
             layers' on a single ``/metrics`` page.
 
-    Use as a context manager, or pair :meth:`start` with
-    :meth:`shutdown`::
+    The constructor binds and listens, so :attr:`port` is known (and
+    early connections wait in the backlog) before serving starts.  Use
+    as a context manager, or pair :meth:`start` with :meth:`shutdown`::
 
         with PredictionServer.from_artifact("model.json") as server:
             client = PredictionClient("127.0.0.1", server.port)
@@ -71,53 +71,21 @@ class PredictionServer:
     ):
         self._registry = registry
         self._config = config if config is not None else ServingConfig()
-        self._model_name = model_name
         self._app = ServingApp(
             RegistryModelProvider(registry, model_name),
             config=self._config,
             metrics=metrics,
             lifecycle=lifecycle,
         )
-        self._serve_thread: Optional[threading.Thread] = None
-        self._shutdown_lock = threading.Lock()
-        self._stopped = False
-
-        app = self._app  # captured by the handler class below
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            # Small request/response pairs ping-pong on one keep-alive
-            # connection; Nagle + delayed ACK would add ~40 ms per round
-            # trip.
-            disable_nagle_algorithm = True
-
-            def log_message(self, fmt: str, *args: Any) -> None:
-                pass  # request logging would swamp load tests
-
-            def _serve(self) -> None:
-                try:
-                    length = parse_content_length(
-                        self.headers.get("Content-Length")
-                    )
-                except ProtocolError as exc:
-                    # The body's extent is unknown: answer, then close.
-                    status, doc, _ = app.map_error(exc)
-                    _respond(self, AppResponse.from_doc(status, doc), close=True)
-                    return
-                body = self.rfile.read(length) if length else b""
-                response = app.handle(self.command, self.path, body)
-                _respond(self, response)
-
-            def do_GET(self) -> None:  # noqa: N802 — http.server API
-                self._serve()
-
-            def do_POST(self) -> None:  # noqa: N802 — http.server API
-                self._serve()
-
-        self._httpd = ThreadingHTTPServer(
-            (self._config.host, self._config.port), Handler
+        self._sock = _new_listen_socket(
+            self._config.host, self._config.port, reuseport=False
         )
-        self._httpd.daemon_threads = True
+        self._address = self._sock.getsockname()[:2]
+        self._lock = threading.Lock()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stop: Optional[asyncio.Event] = None
+        self._thread: Optional[threading.Thread] = None
+        self._stopped = False
 
     # ------------------------------------------------------------------
     # Construction helpers and lifecycle.
@@ -139,12 +107,12 @@ class PredictionServer:
 
     @property
     def host(self) -> str:
-        return self._httpd.server_address[0]
+        return self._address[0]
 
     @property
     def port(self) -> int:
         """The bound port (resolves ``port=0`` to the OS's pick)."""
-        return self._httpd.server_address[1]
+        return self._address[1]
 
     @property
     def registry(self) -> ModelRegistry:
@@ -165,35 +133,55 @@ class PredictionServer:
         """The lifecycle residual monitor, or ``None`` when disabled."""
         return self._app.monitor
 
+    async def _serve(self) -> None:
+        """Accept and serve connections until the stop event is set."""
+        stop = asyncio.Event()
+        with self._lock:
+            if self._stopped:
+                return
+            self._loop, self._stop = asyncio.get_running_loop(), stop
+        self._sock.setblocking(False)
+        server = await asyncio.start_server(
+            lambda r, w: _serve_connection(self._app, r, w), sock=self._sock
+        )
+        try:
+            await stop.wait()
+        finally:
+            server.close()
+            await server.wait_closed()
+
     def start(self) -> "PredictionServer":
         """Serve on a background thread; returns immediately."""
-        if self._serve_thread is not None:
+        if self._thread is not None:
             raise ServingError("server already started")
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever,
+        self._thread = threading.Thread(
+            target=asyncio.run,
+            args=(self._serve(),),
             name="prediction-server",
             daemon=True,
         )
-        self._serve_thread.start()
+        self._thread.start()
         return self
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`shutdown`/SIGINT."""
         try:
-            self._httpd.serve_forever()
+            asyncio.run(self._serve())
         finally:
             self.shutdown()
 
     def shutdown(self) -> None:
-        """Stop accepting connections and drain the worker pool."""
-        with self._shutdown_lock:
+        """Stop accepting connections and drain the batch workers."""
+        with self._lock:
             if self._stopped:
                 return
             self._stopped = True
-        self._httpd.shutdown()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5.0)
-        self._httpd.server_close()
+            loop, stop = self._loop, self._stop
+        if loop is not None and not loop.is_closed():
+            loop.call_soon_threadsafe(stop.set)
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+        self._sock.close()
         self._app.close()
 
     def __enter__(self) -> "PredictionServer":
@@ -201,40 +189,3 @@ class PredictionServer:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-    # ------------------------------------------------------------------
-    # Compatibility shims: the app owns the serving state; tests and
-    # tooling that reached into the server keep working.
-
-    @property
-    def _cache(self):
-        return self._app.cache
-
-    @property
-    def _batcher(self):
-        return self._app.batcher
-
-    @property
-    def _monitor(self):
-        return self._app.monitor
-
-    def _predict(self, request):
-        return self._app._predict(request)
-
-    def _predict_batch(self, request):
-        return self._app._predict_batch(request)
-
-
-def _respond(
-    handler: BaseHTTPRequestHandler, response: AppResponse, close: bool = False
-) -> None:
-    try:
-        handler.send_response(response.status)
-        handler.send_header("Content-Type", response.content_type)
-        handler.send_header("Content-Length", str(len(response.body)))
-        if close:
-            handler.send_header("Connection", "close")
-        handler.end_headers()
-        handler.wfile.write(response.body)
-    except (BrokenPipeError, ConnectionResetError):
-        pass  # client hung up first; nothing to answer

@@ -27,6 +27,7 @@ from repro.serving import (
     save_artifact,
 )
 from repro.serving.protocol import PredictRequest
+from repro.serving.shm import ControlBlock
 
 pytestmark = pytest.mark.skipif(
     not multiworker_supported()[0],
@@ -69,6 +70,24 @@ def test_health_reports_worker_liveness(artifact_a):
             assert health.workers["alive"] == 2
             pids = {w["pid"] for w in health.workers["workers"]}
             assert len(pids) == 2 and os.getpid() not in pids
+
+
+def test_workers_stamp_a_heartbeat_before_reporting_ready(
+    artifact_a, monkeypatch
+):
+    """No worker slot reads as dead (pid 0) once start() has returned."""
+    stamp = ControlBlock.heartbeat
+
+    def slow_heartbeat(self, *args, **kwargs):
+        time.sleep(0.3)
+        return stamp(self, *args, **kwargs)
+
+    # The workers fork, so they inherit the patched method.
+    monkeypatch.setattr(ControlBlock, "heartbeat", slow_heartbeat)
+    with MultiWorkerServer(artifact_a, _CONFIG) as server:
+        statuses = server.control.worker_statuses()
+        assert len(statuses) == 2
+        assert all(status.pid > 0 for status in statuses)
 
 
 def test_predictions_bit_identical_across_worker_counts(artifact_a):

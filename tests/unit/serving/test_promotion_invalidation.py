@@ -106,7 +106,7 @@ def _server(registry):
 def _predict(server, primary, mix):
     from repro.serving.protocol import PredictRequest
 
-    return server._predict(PredictRequest(primary=primary, mix=mix)).latency
+    return server.app._predict(PredictRequest(primary=primary, mix=mix)).latency
 
 
 def test_registry_swap_bumps_generation_and_empties_cache(artifacts):
@@ -114,13 +114,13 @@ def test_registry_swap_bumps_generation_and_empties_cache(artifacts):
     registry.register("default", artifacts[0])
     with _server(registry) as server:
         client_response = _predict(server, 26, MIX)
-        stats = server._cache.stats()
+        stats = server.app.cache.stats()
         assert stats.size == 1 and stats.generation == 1
 
         # A lifecycle promotion re-registers the same name over a new
         # artifact; the server's subscription must flush the cache.
         registry.register("default", artifacts[1])
-        stats = server._cache.stats()
+        stats = server.app.cache.stats()
         assert stats.generation == 2
         assert stats.size == 0
 
@@ -135,7 +135,7 @@ def test_swap_of_another_model_does_not_flush(artifacts):
         _predict(server, 26, MIX)
         registry.register("shadow", artifacts[1])  # first registration
         registry.register("shadow", artifacts[0])  # swap of another name
-        stats = server._cache.stats()
+        stats = server.app.cache.stats()
         assert stats.generation == 1 and stats.size == 1
 
 
@@ -148,7 +148,7 @@ def test_rollback_flip_cannot_resurface_pre_flip_entries(artifacts):
         _predict(server, 26, MIX)
         registry.register("default", artifacts[1])
         registry.register("default", artifacts[0])
-        stats = server._cache.stats()
+        stats = server.app.cache.stats()
         assert stats.generation == 3
         assert stats.size == 0
 
@@ -157,7 +157,7 @@ def test_in_flight_batch_write_is_fenced_by_the_flip(artifacts):
     registry = ModelRegistry()
     registry.register("default", artifacts[0])
     with _server(registry) as server:
-        cache = server._cache
+        cache = server.app.cache
         generation = cache.generation
         # Simulate a batch that snapshotted (entry, generation), then
         # lost the race with a promotion before its put().

@@ -149,12 +149,38 @@ def test_tampered_training_data_rejected(artifact_path):
 
 
 def test_non_finite_qs_slope_rejected(artifact_path):
-    # The fingerprint covers options and training only, so a tampered
-    # model section must be caught by QSModel's own validation.
+    # QSModel's own validation rejects a non-finite coefficient before
+    # the models digest is compared.
     doc = json.loads(artifact_path.read_text())
     doc["models"]["qs"]["2"]["26"]["slope"] = float("nan")
     artifact_path.write_text(json.dumps(doc))
     with pytest.raises(ArtifactError, match="slope must be finite"):
+        load_artifact(artifact_path)
+
+
+def _tamper_slope(value):
+    def tamper(doc):
+        doc["models"]["qs"]["2"]["26"]["slope"] = value
+
+    return tamper
+
+
+def _delete_qs_model(doc):
+    del doc["models"]["qs"]["2"]["26"]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_tamper_slope(1e300), _tamper_slope(-5.0), _delete_qs_model],
+    ids=["huge_slope", "negative_slope", "deleted_model"],
+)
+def test_tampered_models_rejected_by_digest(artifact_path, tamper):
+    # Finite, well-formed edits pass QSModel's own checks; only the
+    # models digest catches them (a deleted model would be refit).
+    doc = json.loads(artifact_path.read_text())
+    tamper(doc)
+    artifact_path.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match="models digest mismatch"):
         load_artifact(artifact_path)
 
 

@@ -4,16 +4,16 @@ unique batch — one vectorized ``predict_known_many`` call, zero scalar
 only when the batch carries an invalid key.
 """
 
+import asyncio
+import json
 import threading
 
 import pytest
 
 from repro.config import ServingConfig
 from repro.serving.app import RegistryModelProvider, ServingApp
-from repro.serving.protocol import (
-    BatchPredictRequest,
-    PredictRequest,
-)
+from repro.serving.frontend import _respond_predict_batch
+from repro.serving.protocol import PredictRequest
 from repro.serving.registry import ModelRegistry, save_artifact
 
 
@@ -62,6 +62,16 @@ def _app_with_counter(registry, **config_kwargs):
     return app, counter
 
 
+def _predict_batch(app, items):
+    """Answer items of one ``predict-batch`` request through the hot path."""
+    body = json.dumps(
+        {"items": [{"primary": i.primary, "mix": list(i.mix)} for i in items]}
+    ).encode()
+    response = asyncio.run(_respond_predict_batch(app, body))
+    assert response.status == 200
+    return json.loads(response.body)["items"]
+
+
 def test_one_vectorized_call_per_unique_batch(registry):
     app, counter = _app_with_counter(registry, batch_window=0.05, max_batch=64)
     try:
@@ -71,9 +81,9 @@ def test_one_vectorized_call_per_unique_batch(registry):
             for a in ids
             for b in ids[:3]
         )
-        response = app._predict_batch(BatchPredictRequest(items=items))
-        assert len(response.items) == len(items)
-        assert all(item.latency > 0 for item in response.items)
+        answers = _predict_batch(app, items)
+        assert len(answers) == len(items)
+        assert all(item["latency"] > 0 for item in answers)
         stats = app.batcher.stats()
         # Every executed batch made exactly one vectorized model call;
         # the scalar path never ran.
@@ -90,13 +100,13 @@ def test_repeat_batch_answers_from_cache_without_model_calls(registry):
             PredictRequest(primary=26, mix=(26, 65)),
             PredictRequest(primary=65, mix=(26, 65)),
         )
-        app._predict_batch(BatchPredictRequest(items=items))
+        _predict_batch(app, items)
         calls_after_first = counter.many_calls
         assert calls_after_first > 0
-        second = app._predict_batch(BatchPredictRequest(items=items))
+        second = _predict_batch(app, items)
         assert counter.many_calls == calls_after_first  # pure cache hits
         assert counter.scalar_calls == 0
-        assert all(item.cached for item in second.items)
+        assert all(item["cached"] for item in second)
     finally:
         app.close()
 

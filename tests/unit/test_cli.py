@@ -127,6 +127,54 @@ def test_serve_schema_mismatch_fails_cleanly(
     assert "Traceback" not in err
 
 
+def test_serve_in_process_address_health_and_sigint(tmp_path, small_contender):
+    """The contract scripts rely on: `serve --workers 1` prints its
+    address first, answers /v1/health, and exits 0 on SIGINT."""
+    import http.client
+    import os
+    import re
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.serving import save_artifact
+
+    artifact = tmp_path / "model.json"
+    save_artifact(small_contender, artifact)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.cli", "serve", str(artifact),
+         "--port", "0", "--workers", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env,
+    )
+    try:
+        first = proc.stdout.readline().decode()
+        match = re.search(r"on http://([^:\s]+):(\d+)", first)
+        assert match, first
+        conn = http.client.HTTPConnection(
+            match.group(1), int(match.group(2)), timeout=10.0
+        )
+        try:
+            conn.request("GET", "/v1/health")
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10.0) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
 def test_load_test_requires_exactly_one_target(tmp_path, capsys):
     assert main(["load-test"]) == 2
     err = capsys.readouterr().err
